@@ -142,12 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the sim-time flight recorder here (Chrome trace_event JSON "
              "+ JSONL + metrics snapshot); forces execution (no store hit)",
     )
-    scenario_run.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="fan region shards out over N worker processes (clamped to the "
-             "spec's region count); result-neutral — signatures are "
-             "byte-identical for every shard count",
-    )
     add_store_options(scenario_run)
 
     scenario_sweep = scenario_sub.add_parser(
@@ -600,9 +594,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             else:
                 print("scenario run needs a name or --spec FILE", file=sys.stderr)
                 return 2
-            result = runner.run(
-                spec, seed=args.seed, trace_dir=args.trace, shards=args.shards
-            )
+            result = runner.run(spec, seed=args.seed, trace_dir=args.trace)
             _log_store_status(runner, result)
             if args.trace is not None:
                 get_logger(
@@ -616,8 +608,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             print()
             print(ScenarioRunner.format_summary([result]))
             # Full determinism fingerprints, printed identically whether the
-            # run was fresh, store-served or sharded — the CI shard-smoke
-            # job diffs these lines across --shards counts byte for byte.
+            # run was fresh or store-served.
             print()
             print(f"signature: {result.signature}")
             if result.canonical_digest:

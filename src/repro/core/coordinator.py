@@ -490,12 +490,3 @@ class Coordinator:
         self._broadcast(session, {"event": "session_terminated", "reason": reason})
         self._record("session_terminated", session_id, detail=reason)
 
-    def expire_sessions(self) -> List[str]:
-        """Terminate sessions whose wall-time budget has elapsed; returns their ids."""
-        expired = []
-        now = self._now()
-        for session in list(self.sessions.values()):
-            if session.is_active and session.expired(now):
-                self.terminate_session(session.session_id, reason="session time exceeded")
-                expired.append(session.session_id)
-        return expired

@@ -501,10 +501,6 @@ class ClientRoundView:
         self.awaited_global_version = int(global_version) + 1
         self.uploads_sent += 1
 
-    def is_stale(self, epoch: int) -> bool:
-        """Whether a contribution stamped with ``epoch`` predates a restart."""
-        return int(epoch) < self.restart_epoch
-
     def awaiting_global(self, installed_version: int) -> bool:
         """Whether the client still waits for a global update it asked for."""
         return int(installed_version) < self.awaited_global_version

@@ -186,10 +186,6 @@ class ClassifierModel:
         """Overwrite the network parameters from ``state``."""
         self.network.load_state_dict(state)
 
-    def clone_state(self) -> Dict[str, np.ndarray]:
-        """Alias of ``state_dict(copy=True)`` kept for readability at call sites."""
-        return self.state_dict(copy=True)
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"ClassifierModel(name={self.name!r}, parameters={self.num_parameters}, "

@@ -76,10 +76,6 @@ class BrokerBridge:
         self.local.detach_bridge(self)
         self.remote.detach_bridge(self)
 
-    def add_rule(self, rule: BridgeRule) -> None:
-        """Add a forwarding rule at runtime."""
-        self.rules.append(rule)
-
     def _should_forward(self, topic: str, outbound_from_local: bool) -> bool:
         for rule in self.rules:
             if not topic_matches_filter(topic, rule.topic_filter):

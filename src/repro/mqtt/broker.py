@@ -524,11 +524,6 @@ class MQTTBroker:
         """Ids of currently connected clients (sorted for determinism)."""
         return sorted(cid for cid, s in self._sessions.items() if s.connected)
 
-    @property
-    def session_count(self) -> int:
-        """Number of sessions (connected or persistent-offline) the broker holds."""
-        return len(self._sessions)
-
     # --------------------------------------------------------- subscriptions
 
     def subscribe(self, client_id: str, topic_filter: str, qos: QoS | int = QoS.AT_MOST_ONCE) -> QoS:

@@ -208,9 +208,14 @@ class TrafficLog:
         self.total_messages += 1
         self.total_payload_bytes += payload_bytes
         self.total_transfer_time_s += record.transfer_time_s
-        self._receiver_bytes[self.intern(record.receiver_id)] += payload_bytes
-        self._sender_bytes[self.intern(record.sender_id)] += payload_bytes
-        self._topic_messages[self.intern(record.topic)] += 1
+        # Intern before indexing: ``intern`` may grow the count arrays, and
+        # ``a[intern(x)] += v`` would fetch the old array first.
+        receiver = self.intern(record.receiver_id)
+        sender = self.intern(record.sender_id)
+        topic = self.intern(record.topic)
+        self._receiver_bytes[receiver] += payload_bytes
+        self._sender_bytes[sender] += payload_bytes
+        self._topic_messages[topic] += 1
 
     def add_batch(
         self,

@@ -19,7 +19,7 @@ quantity Fig. 8 reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -273,13 +273,6 @@ class FLExperiment:
         #: round-anchored windows.
         self.lifecycle: RoundLifecycle
         self._client_brokers: Dict[str, MQTTBroker] = {}
-        #: client id → region ordinal (the shard cut used by ``--shards``).
-        self.client_regions: Dict[str, int] = {}
-        #: When set, local training is routed through this hook instead of
-        #: running inline — the sharded scenario runner uses it to train each
-        #: client on its owning shard only and install the shipped result
-        #: everywhere else.  Signature: ``hook(client_id) -> mean loss``.
-        self.train_hook: Optional[Callable[[str], float]] = None
         self._pending_midround_uploads: set = set()
         self.stragglers_cut_total = 0
         self.clients_admitted = 0
@@ -411,9 +404,8 @@ class FLExperiment:
             region = index % len(self.brokers)
             broker = self.brokers[region]
             self._client_brokers[client_id] = broker
-            self.client_regions[client_id] = region
-            # Region tags feed the canonical merged trace digest (the shard
-            # determinism contract); a no-op unless tracing is on.
+            # Region tags feed the canonical trace digest; a no-op unless
+            # tracing is on.
             self.scheduler.assign_trace_region(client_id, region)
             client = SDFLMQClient(
                 client_id,
@@ -501,12 +493,6 @@ class FLExperiment:
     # ------------------------------------------------------------------- run
 
     def _train_client(self, client_id: str) -> float:
-        """Local training for one client, via :attr:`train_hook` when set."""
-        if self.train_hook is not None:
-            return self.train_hook(client_id)
-        return self._train_client_local(client_id)
-
-    def _train_client_local(self, client_id: str) -> float:
         """Run the local training phase for one client; returns the mean loss."""
         config = self.config
         model = self.client_models[client_id]

@@ -73,7 +73,10 @@ from repro.utils.soa import StringTable
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mqtt.broker import MQTTBroker
 
-__all__ = ["EventScheduler"]
+__all__ = ["EventScheduler", "canonical_trace_digest"]
+
+#: (due, region, sequence, line) — one structured trace entry.
+TraceEntry = Tuple[float, int, int, bytes]
 
 #: Heap payload kinds.  Actions sort before deliveries at the same instant via
 #: their sentinel sequence of -1 (real delivery sequences start at 1).
@@ -143,6 +146,21 @@ class _FanoutBatch:
         self.unclamped = unclamped
         self.broker = broker
         self.session_epoch = session_epoch
+
+
+def canonical_trace_digest(entries: Iterable[TraceEntry]) -> str:
+    """SHA-256 over trace lines sorted on ``(deliver_at, region, sequence)``.
+
+    The sort key is a total order over deliveries (sequences are unique per
+    region broker), so the digest does not depend on the order in which
+    same-instant deliveries from different regions were dispatched.
+    """
+    digest = hashlib.sha256()
+    for _due, _region, _sequence, line in sorted(
+        entries, key=lambda entry: (entry[0], entry[1], entry[2])
+    ):
+        digest.update(line)
+    return digest.hexdigest()
 
 
 class EventScheduler:
@@ -234,10 +252,10 @@ class EventScheduler:
         self._trace = hashlib.sha256() if record_trace else None
         # Structured copy of every trace line, kept only while tracing:
         # ``(due, region_tag, sequence, line_bytes)``.  The region tag is the
-        # receiver's shard-cut ordinal (``assign_trace_region``), 0 when
-        # untagged; ``runtime/shards.py`` merges these into the canonical
-        # global digest sorted on ``(due, region, sequence)``.
-        self._trace_entries: List[Tuple[float, int, int, bytes]] = []
+        # receiver's region ordinal (``assign_trace_region``), 0 when
+        # untagged; :func:`canonical_trace_digest` hashes these sorted on
+        # ``(due, region, sequence)``.
+        self._trace_entries: List[TraceEntry] = []
         self._trace_regions: Dict[int, int] = {}
         # Observability hooks (repro.obs).  Both default to detached so the
         # per-event cost is one ``is None`` check; ``tools/bench.py`` gates
@@ -783,18 +801,17 @@ class EventScheduler:
         return self._trace.hexdigest()
 
     def assign_trace_region(self, receiver_id: str, region: int) -> None:
-        """Tag *receiver_id*'s future trace entries with shard-cut *region*.
+        """Tag *receiver_id*'s future trace entries with its *region* ordinal.
 
-        The tag feeds the canonical merged digest (sorted on
-        ``(deliver_at, region, sequence)``): per-shard digests are computed
-        over a region subset of the same total order, so the global digest is
-        byte-identical for any shard layout.  No-op unless ``record_trace``.
+        The tag is the middle key of :func:`canonical_trace_digest`'s
+        ``(deliver_at, region, sequence)`` sort.  No-op unless
+        ``record_trace``.
         """
         if self._trace is None:
             return
         self._trace_regions[self._ids.intern(receiver_id)] = int(region)
 
-    def trace_entries(self) -> List[Tuple[float, int, int, bytes]]:
+    def trace_entries(self) -> List[TraceEntry]:
         """Structured ``(due, region, sequence, line)`` trace entries.
 
         Dispatch-ordered, exactly one entry per line hashed into

@@ -46,7 +46,6 @@ from repro.scenarios.spec import (
     NetworkSpec,
     ScenarioSpec,
     ScenarioSpecError,
-    ShardingSpec,
     TopologySpec,
     TrainingSpec,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "ScenarioRunner",
     "ScenarioSpec",
     "ScenarioSpecError",
-    "ShardingSpec",
     "SweepSpec",
     "TopologySpec",
     "TrainingSpec",

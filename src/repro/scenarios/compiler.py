@@ -30,20 +30,7 @@ __all__ = [
     "CompiledScenario",
     "build_experiment_config",
     "compile_scenario",
-    "effective_shards",
 ]
-
-
-def effective_shards(spec: ScenarioSpec, requested: "int | None" = None) -> int:
-    """Resolve the shard count a run will actually use.
-
-    ``requested`` (the CLI ``--shards`` override) wins over the spec's
-    ``sharding.shards``; either is clamped to ``topology.regions`` — region
-    is the shard cut, so extra workers would own no brokers.  Callers log
-    when the clamp bites.
-    """
-    shards = int(spec.sharding.shards if requested is None else requested)
-    return max(1, min(shards, int(spec.topology.regions)))
 
 
 def build_experiment_config(spec: ScenarioSpec) -> ExperimentConfig:

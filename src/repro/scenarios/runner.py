@@ -34,7 +34,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,11 +45,11 @@ from repro.experiments.report import (
     messaging_vs_analytic_rows,
     write_grid_report,
 )
-from repro.obs import MetricsRegistry, Tracer, get_logger
+from repro.obs import MetricsRegistry, Tracer
 from repro.obs.attach import attach_experiment_metrics, attach_experiment_tracer
 from repro.runtime.experiment import FLExperiment, RoundResult
-from repro.runtime.shards import canonical_trace_digest
-from repro.scenarios.compiler import CompiledScenario, compile_scenario, effective_shards
+from repro.runtime.scheduler import canonical_trace_digest
+from repro.scenarios.compiler import CompiledScenario, compile_scenario
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.store import ResultsStore, spec_hash, sweep_hash
@@ -125,25 +125,17 @@ class ScenarioResult:
     #: taken after the last round; persisted in the store payload and served
     #: by ``scenario serve /api/metrics``.
     metrics: Dict[str, object] = field(default_factory=dict, repr=False, compare=False)
-    #: Merge-ordered global delivery digest: SHA-256 over the trace lines
-    #: sorted by ``(deliver_at, region, sequence)``.  Layout-invariant — the
-    #: same spec+seed yields the same digest for any ``--shards`` count,
-    #: including the in-process (unsharded) run.
+    #: Canonical delivery digest: SHA-256 over the trace lines sorted by
+    #: ``(deliver_at, region, sequence)``.
     canonical_digest: str = ""
     #: SHA-256 over the canonical digest plus the final global model
-    #: parameters — the sharded-mode determinism contract.
+    #: parameters.
     sharded_signature: str = ""
-    #: Worker processes the run actually used (1 = in-process).
-    shards: int = 1
-    #: Where the payload came from: a ``"fresh"`` in-process execution, the
-    #: results ``"store"``, or a ``"sharded"`` worker fleet (payload-backed
-    #: like a store hit, but freshly executed).
-    source: str = field(default="fresh", repr=False, compare=False)
 
     @property
     def from_store(self) -> bool:
         """True when this result was served from the results store."""
-        return self.stored_payload is not None and self.source == "store"
+        return self.stored_payload is not None
 
     @property
     def rounds_completed(self) -> int:
@@ -271,7 +263,6 @@ class ScenarioResult:
                 "metrics": self.metrics,
                 "canonical_digest": self.canonical_digest,
                 "sharded_signature": self.sharded_signature,
-                "shards": int(self.shards),
             }
         )
 
@@ -288,7 +279,6 @@ class ScenarioResult:
             signature=str(payload["signature"]),
             canonical_digest=str(payload.get("canonical_digest", "")),
             sharded_signature=str(payload.get("sharded_signature", "")),
-            shards=int(payload.get("shards", 1)),
             clients_dropped=int(payload["clients_dropped"]),
             clients_admitted=int(payload["clients_admitted"]),
             stragglers_cut=int(payload["stragglers_cut"]),
@@ -300,7 +290,6 @@ class ScenarioResult:
             experiment=None,
             stored_payload=payload,
             metrics=dict(payload.get("metrics", {})),
-            source="store",
         )
 
 
@@ -537,13 +526,11 @@ def _signatures(compiled: CompiledScenario) -> Tuple[str, str, str]:
     """(legacy signature, canonical digest, sharded signature) of a run.
 
     The legacy signature hashes the scheduler's *dispatch-order* trace
-    digest plus the final global model parameters — byte-compatible with
-    every result stored before sharding existed.  The canonical digest
+    digest plus the final global model parameters.  The canonical digest
     re-hashes the same trace lines sorted by ``(deliver_at, region,
-    sequence)``, which makes it invariant to *where* each delivery was
-    dispatched — the property the sharded event loop pins.  The sharded
-    signature couples the canonical digest with the final model the same
-    way the legacy signature couples the dispatch-order digest.
+    sequence)`` (:func:`~repro.runtime.scheduler.canonical_trace_digest`).
+    The sharded signature couples the canonical digest with the final model
+    the same way the legacy signature couples the dispatch-order digest.
     """
     experiment = compiled.experiment
     model_parts: List[bytes] = []
@@ -576,16 +563,12 @@ def execute_scenario(
     spec: ScenarioSpec,
     trace_dir: Union[str, os.PathLike, None] = None,
     trace_prefix: str = "",
-    configure: Optional[Callable[[CompiledScenario], None]] = None,
 ) -> ScenarioResult:
-    """Compile and drive one spec to completion (no store, no sharding).
+    """Compile and drive one spec to completion (no store).
 
-    The execution core shared by :meth:`ScenarioRunner.run` and the sharded
-    scenario workers (:mod:`repro.scenarios.sharded`): compile → attach
-    metrics/tracer → admission-aware round loop → signatures.  ``configure``
-    runs after the experiment is compiled and instrumented but before the
-    first round — the shard workers use it to install the cross-shard
-    training hook on the experiment.
+    The execution core of :meth:`ScenarioRunner.run` and of grid cells:
+    compile → attach metrics/tracer → admission-aware round loop →
+    signatures.
     """
     effective_seed = spec.seed
     compiled = compile_scenario(spec)
@@ -599,8 +582,6 @@ def execute_scenario(
         attach_experiment_tracer(experiment, tracer, injector=compiled.injector)
         stem = f"{trace_prefix}{spec.name}_{effective_seed}"
         tracer.dump_hook = lambda kind: _dump_flight_recorder(trace_dir, stem, tracer)
-    if configure is not None:
-        configure(compiled)
 
     rounds: List[RoundResult] = []
     session = experiment.coordinator.session(experiment.config.session_id)
@@ -755,7 +736,6 @@ class ScenarioRunner:
         use_store: bool = True,
         trace_dir: Union[str, os.PathLike, None] = None,
         trace_prefix: str = "",
-        shards: Optional[int] = None,
     ) -> ScenarioResult:
         """Compile and execute ``scenario`` (a spec or a registry name).
 
@@ -778,16 +758,6 @@ class ScenarioRunner:
         byte-identical with it on or off) but forces execution: a store hit
         cannot reproduce a trace, so the lookup is skipped (the fresh result
         is still persisted).
-
-        ``shards`` overrides the spec's ``sharding.shards``: with an
-        effective count above 1 the run fans region shards out over worker
-        processes (:mod:`repro.scenarios.sharded`).  Sharding is
-        result-neutral — legacy signature, canonical digest and sharded
-        signature are byte-identical for every shard count (the shard
-        invariance tests and the CI shard-smoke job pin exactly that) — so
-        the store serves the same content address regardless of layout.
-        Daemonic processes (grid pool workers) cannot fork shard children,
-        so they normalize to in-process execution with a log line.
         """
         spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
         if seed is not None:
@@ -795,16 +765,6 @@ class ScenarioRunner:
         # Single source of truth for every seed-bearing artefact below: the
         # spec the experiment was actually compiled from.
         effective_seed = spec.seed
-        requested = effective_shards(spec, shards)
-        if requested > 1 and multiprocessing.current_process().daemon:
-            get_logger(
-                "repro.scenario.run", scenario=spec.name, seed=effective_seed
-            ).info(
-                f"shards: normalized {requested} -> 1 "
-                "(daemonic pool worker cannot fork shard processes; "
-                "sharding is result-neutral)"
-            )
-            requested = 1
         content_key: Optional[str] = None
         if self._store is not None and use_store:
             content_key = spec_hash(spec)
@@ -814,17 +774,7 @@ class ScenarioRunner:
                     self.store_hits += 1
                     return ScenarioResult.from_payload(spec, stored.payload)
             self.store_misses += 1
-        if requested > 1:
-            # Imported lazily: sharded imports runner for the result types.
-            from repro.scenarios.sharded import run_scenario_sharded
-
-            result = run_scenario_sharded(
-                spec, requested, trace_dir=trace_dir, trace_prefix=trace_prefix
-            )
-        else:
-            result = execute_scenario(
-                spec, trace_dir=trace_dir, trace_prefix=trace_prefix
-            )
+        result = execute_scenario(spec, trace_dir=trace_dir, trace_prefix=trace_prefix)
         if content_key is not None:
             self._store.put_run(
                 content_key, effective_seed, spec, result.signature, result.to_payload()
@@ -938,27 +888,7 @@ class ScenarioRunner:
         else:
             # Never spawn more workers than there are cells — idle processes
             # still pay the full interpreter + import cost under spawn.
-            pool_size = min(workers, len(payloads))
-            # Cells whose specs request sharding would each want several
-            # cores; grid pool workers are daemonic and run cells in-process
-            # anyway (result-neutral, see ScenarioRunner.run), but the pool
-            # is still sized so workers x shards-per-cell never oversubscribes
-            # the machine if cells ever fan out themselves.
-            shards_per_cell = max(
-                (effective_shards(cell.spec) for cell in pending), default=1
-            )
-            if shards_per_cell > 1:
-                budget = max(1, (os.cpu_count() or 1) // shards_per_cell)
-                if budget < pool_size:
-                    get_logger(
-                        "repro.scenario.grid", grid=sweep.name, workers=workers
-                    ).info(
-                        f"pool: capping workers {pool_size} -> {budget} "
-                        f"({shards_per_cell} shard(s) per cell on "
-                        f"{os.cpu_count() or 1} CPU(s))"
-                    )
-                    pool_size = budget
-            pool = self._worker_pool(pool_size)
+            pool = self._worker_pool(min(workers, len(payloads)))
             try:
                 # Unordered: results are persisted as they arrive and sorted
                 # below, so completion order never reaches the caller.
@@ -1024,10 +954,3 @@ class ScenarioRunner:
     def format_seed_aggregate(grid: GridResult, precision: int = 4) -> str:
         """Across-seed mean/stddev table (empty-grid text without a seed axis)."""
         return format_table(grid.seed_aggregate_rows(), precision=precision)
-
-    # -------------------------------------------------------------- signature
-
-    @staticmethod
-    def _signature(compiled: CompiledScenario) -> str:
-        """Hash the delivery trace and the final global model parameters."""
-        return _signatures(compiled)[0]

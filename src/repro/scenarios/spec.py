@@ -43,7 +43,6 @@ __all__ = [
     "NetworkSpec",
     "ScenarioSpec",
     "ScenarioSpecError",
-    "ShardingSpec",
     "TopologySpec",
     "TrainingSpec",
 ]
@@ -353,24 +352,6 @@ class FaultSpec:
 
 
 @dataclass(frozen=True)
-class ShardingSpec:
-    """Process-parallel execution of the scenario (region = shard).
-
-    ``shards`` is the number of worker processes the runner partitions the
-    fleet across, cut along the bridged broker regions.  The determinism
-    contract makes this knob *result-neutral*: the run signature, canonical
-    delivery digest and every golden are byte-identical for any shard count
-    (``1`` runs the classic in-process kernel).  Values above
-    ``topology.regions`` are clamped at run time, with a log line.
-    """
-
-    shards: int = 1
-
-    def __post_init__(self) -> None:
-        _require(int(self.shards) >= 1, f"shards must be >= 1, got {self.shards}")
-
-
-@dataclass(frozen=True)
 class ScenarioSpec:
     """A complete declarative scenario."""
 
@@ -381,7 +362,6 @@ class ScenarioSpec:
     topology: TopologySpec = field(default_factory=TopologySpec)
     network: NetworkSpec = field(default_factory=NetworkSpec)
     training: TrainingSpec = field(default_factory=TrainingSpec)
-    sharding: ShardingSpec = field(default_factory=ShardingSpec)
     churn: Tuple[ChurnEvent, ...] = ()
     faults: Tuple[FaultSpec, ...] = ()
 
@@ -458,7 +438,6 @@ class ScenarioSpec:
             "topology": dataclasses.asdict(self.topology),
             "network": dataclasses.asdict(self.network),
             "training": dataclasses.asdict(self.training),
-            "sharding": dataclasses.asdict(self.sharding),
             "churn": [event.as_dict() for event in self.churn],
             "faults": [dataclasses.asdict(fault) for fault in self.faults],
         }
@@ -491,7 +470,6 @@ class ScenarioSpec:
             topology=_build(TopologySpec, data.get("topology", {}), "topology"),
             network=_build(NetworkSpec, data.get("network", {}), "network"),
             training=_build(TrainingSpec, data.get("training", {}), "training"),
-            sharding=_build(ShardingSpec, data.get("sharding", {}), "sharding"),
             churn=churn,
             faults=faults,
         )
@@ -499,7 +477,3 @@ class ScenarioSpec:
     def with_seed(self, seed: int) -> "ScenarioSpec":
         """A copy of this spec pinned to a different seed."""
         return dataclasses.replace(self, seed=int(seed))
-
-    def with_shards(self, shards: int) -> "ScenarioSpec":
-        """A copy of this spec pinned to a shard count (``--shards N``)."""
-        return dataclasses.replace(self, sharding=ShardingSpec(shards=int(shards)))

@@ -253,10 +253,6 @@ class DeviceFleet:
         """Latest dynamic stats snapshot for ``device_id``."""
         return self._stats[device_id]
 
-    def all_stats(self) -> Dict[str, DeviceStats]:
-        """Latest stats for every device."""
-        return dict(self._stats)
-
     # ----------------------------------------------------------------- drift
 
     def drift(self, round_index: int, memory_pressure: float = 0.3) -> Dict[str, DeviceStats]:

@@ -96,6 +96,17 @@ class TestTrafficLog:
         record = self._record(nbytes=100)
         assert record.total_bytes == 100 + PACKET_OVERHEAD_BYTES * 2
 
+    def test_add_past_initial_id_capacity(self):
+        # The id-indexed count arrays start at 256 slots; distinct
+        # identities past that grow them inside intern().
+        log = TrafficLog()
+        for i in range(300):
+            log.add(self._record(receiver=f"r{i}", sender=f"s{i}", nbytes=i, topic=f"t{i}"))
+        assert log.total_messages == 300
+        assert log.bytes_received_by("r299") == 299
+        assert log.bytes_sent_by("s257") == 257
+        assert log.messages_on_topic("t280") == 1
+
     def test_bounded_raw_records(self):
         log = TrafficLog(max_records=5)
         for _ in range(10):

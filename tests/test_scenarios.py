@@ -10,6 +10,7 @@ delivery order (trace signature) and final model state.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -29,7 +30,11 @@ from repro.scenarios import (
     scenario_names,
     scenario_summaries,
 )
+from repro.scenarios.runner import execute_scenario
 from repro.sim.events import ChurnEvent
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN_PATH = os.path.join(REPO_ROOT, "tests", "data", "bridged-multi-region.signatures.json")
 
 
 def _tiny_spec(**overrides) -> ScenarioSpec:
@@ -146,6 +151,10 @@ class TestSpecDictForms:
     def test_unknown_nested_field_rejected(self):
         with pytest.raises(ScenarioSpecError, match="unknown fleet field"):
             ScenarioSpec.from_dict({"name": "x", "fleet": {"num_cilents": 3}})
+
+    def test_retired_sharding_field_rejected(self):
+        with pytest.raises(ScenarioSpecError, match="unknown scenario field"):
+            ScenarioSpec.from_dict({"name": "x", "sharding": {"shards": 2}})
 
     def test_missing_name_rejected(self):
         with pytest.raises(ScenarioSpecError, match="name"):
@@ -327,6 +336,28 @@ class TestScenarioRunner:
         assert [r.seed for r in results] == [1, 2]
         assert all(r.spec.name == "baseline" for r in results)
         assert results[0].signature != results[1].signature
+
+
+class TestCommittedSignatures:
+    """``bridged-multi-region`` pins all three run hashes in a golden file."""
+
+    def test_committed_golden_signatures(self):
+        with open(GOLDEN_PATH, "r", encoding="utf-8") as handle:
+            golden = json.load(handle)
+        result = execute_scenario(get_scenario(golden["scenario"]))
+        assert result.signature == golden["signature"]
+        assert result.canonical_digest == golden["canonical_digest"]
+        assert result.sharded_signature == golden["sharded_signature"]
+
+    def test_store_round_trip_preserves_sharded_fields(self, tmp_path):
+        with ScenarioRunner(tmp_path / "results.sqlite") as runner:
+            spec = get_scenario("bridged-multi-region")
+            fresh = runner.run(spec)
+            cached = runner.run(spec)
+            assert not fresh.from_store and cached.from_store
+            assert cached.signature == fresh.signature
+            assert cached.canonical_digest == fresh.canonical_digest
+            assert cached.sharded_signature == fresh.sharded_signature
 
 
 class TestDeadlineRounds:
