@@ -24,12 +24,17 @@ stack the matrix, which their element-wise sorts genuinely need.  Either
 way the inner loops stay in BLAS/ufuncs (HPC guide), and the accumulation
 order is fixed by the contribution sequence, so results are deterministic.
 
-Hierarchical composition: FedAvg composes exactly (the weighted mean of
+Hierarchical composition: FedAvg composes algebraically (the weighted mean of
 weighted means with summed weights equals the global weighted mean), which is
-what allows SDFLMQ's multi-level aggregation to produce the same global model
-a central server would.  The robust strategies do *not* compose exactly; they
-are primarily intended for the first aggregation level (and the composition
-error is part of what the aggregation ablation bench measures).
+what allows SDFLMQ's multi-level aggregation to produce the global model a
+central server would.  Numerically, each level accumulates in ``float64``
+and its result is then rounded once to the wire dtype
+(:data:`~repro.core.model_controller.WIRE_DTYPE`) before the aggregator
+publishes it, so a hierarchy of depth L adds at most L wire-dtype roundings
+to the flat ``float64`` mean.  The robust strategies do *not* compose
+exactly; they are primarily intended for the first aggregation level (and
+the composition error is part of what the aggregation ablation bench
+measures).
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from repro.core.aggregation import (
 )
 from repro.core.errors import RoleError, SDFLMQError
 from repro.core.messages import ClientStatsReport, JoinRequest, RoleAssignment, SessionRequest
-from repro.core.model_controller import ModelController
+from repro.core.model_controller import WIRE_DTYPE, ModelController
 from repro.core.role_arbiter import RoleArbiter, TopicChange
 from repro.core.roles import Role
 from repro.core.rounds import ClientRoundView
@@ -42,7 +42,7 @@ from repro.core.topics import (
     session_broadcast_topic,
 )
 from repro.ml.models import ClassifierModel
-from repro.ml.state import StateDict
+from repro.ml.state import StateDict, cast_state_dict
 from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.mqttfc.codecs import CODEC_WIRE_KEY, UpdateCodec, is_encoded_state
@@ -682,7 +682,9 @@ class SDFLMQClient:
             return
 
         strategy = self._aggregator_for(session_id)
-        aggregated = strategy.aggregate(contributions)
+        # Accumulate in float64, then round once to the wire dtype: both
+        # publish paths (parent aggregator, parameter server) ship this state.
+        aggregated = cast_state_dict(strategy.aggregate(contributions), WIRE_DTYPE)
         total_weight = sum(c.weight for c in contributions)
         round_index = max(c.round_index for c in contributions)
         self.bytes_aggregated += sum(c.nbytes for c in contributions)

@@ -6,11 +6,19 @@ global update goes through it, so the training pipeline and the aggregation
 pipeline always observe a consistent view of "the model for session X":
 
 * ``register`` binds a :class:`~repro.ml.models.ClassifierModel` to a session;
-* ``snapshot_local`` captures the post-training parameters for upload (cast to
-  the wire dtype, ``float32`` by default, to halve payload sizes exactly as a
-  real deployment would);
+* ``snapshot_local`` captures the post-training parameters for upload, cast to
+  :data:`WIRE_DTYPE`;
 * ``apply_global`` installs a received global model and bumps the version the
   client observes, which is what ``wait_global_update`` polls.
+
+Every model that crosses the wire travels at :data:`WIRE_DTYPE` (``float32``),
+half the size of the ``float64`` training and accumulation dtype, as a real
+deployment would ship it.  That holds for local uploads and for aggregates
+alike: each aggregator rounds its ``float64`` result to the wire dtype once
+before publishing it, whether to its parent aggregator or, at the root, to the
+parameter server that broadcasts it as the global model.
+:attr:`ModelRecord.payload_nbytes` sizes transfers at the same dtype, so the
+analytic delay model and the wire agree.
 """
 
 from __future__ import annotations
@@ -24,7 +32,10 @@ from repro.core.errors import ModelNotRegisteredError
 from repro.ml.models import ClassifierModel
 from repro.ml.state import StateDict, cast_state_dict, state_dict_nbytes
 
-__all__ = ["ModelController", "ModelRecord"]
+__all__ = ["ModelController", "ModelRecord", "WIRE_DTYPE"]
+
+#: The dtype every model payload (upload, aggregate, global) is published at.
+WIRE_DTYPE = "float32"
 
 
 @dataclass
@@ -34,7 +45,6 @@ class ModelRecord:
     session_id: str
     model_name: str
     model: ClassifierModel
-    wire_dtype: str = "float32"
     local_version: int = 0
     global_version: int = 0
     last_global_round: int = -1
@@ -43,8 +53,8 @@ class ModelRecord:
 
     @property
     def payload_nbytes(self) -> int:
-        """Size of one model upload at the configured wire dtype."""
-        return state_dict_nbytes(self.model.state_dict(copy=False), self.wire_dtype)
+        """Size of one model payload at :data:`WIRE_DTYPE`."""
+        return state_dict_nbytes(self.model.state_dict(copy=False), WIRE_DTYPE)
 
 
 class ModelController:
@@ -62,14 +72,12 @@ class ModelController:
         model: ClassifierModel,
         model_name: Optional[str] = None,
         num_samples: int = 0,
-        wire_dtype: str = "float32",
     ) -> ModelRecord:
         """Bind ``model`` to ``session_id`` (replacing any previous binding)."""
         record = ModelRecord(
             session_id=session_id,
             model_name=model_name or model.name,
             model=model,
-            wire_dtype=wire_dtype,
             num_samples=int(num_samples),
         )
         self._records[session_id] = record
@@ -111,9 +119,8 @@ class ModelController:
         return record.local_version
 
     def snapshot_local(self, session_id: str) -> StateDict:
-        """Copy the current parameters, cast to the wire dtype, for upload."""
-        record = self.record(session_id)
-        return cast_state_dict(record.model.state_dict(copy=False), record.wire_dtype)
+        """Copy the current parameters, cast to :data:`WIRE_DTYPE`, for upload."""
+        return cast_state_dict(self.model(session_id).state_dict(copy=False), WIRE_DTYPE)
 
     # ------------------------------------------------------------ global side
 

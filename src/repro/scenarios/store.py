@@ -52,9 +52,10 @@ __all__ = [
     "sweep_hash",
 ]
 
-#: Bump when the sqlite layout changes; the store refuses databases written
-#: by a different schema rather than guessing at migrations.
-SCHEMA_VERSION = 1
+#: Bump when the sqlite layout *or the results a spec produces* change; the
+#: store refuses databases written by a different schema rather than guessing
+#: at migrations or serving results the current program no longer produces.
+SCHEMA_VERSION = 2
 
 #: Environment variable naming the default database location.
 STORE_ENV_VAR = "REPRO_STORE"
@@ -246,49 +247,9 @@ class ResultsStore:
             elif int(row["value"]) != SCHEMA_VERSION:
                 raise ResultsStoreError(
                     f"{self.path} uses store schema {row['value']}, this build "
-                    f"expects {SCHEMA_VERSION}; move the file aside or gc --all it"
+                    f"expects {SCHEMA_VERSION}; move the file aside or delete it"
                 )
-            self._rehash_legacy_specs(db)
             db.commit()
-
-    @staticmethod
-    def _rehash_legacy_specs(db: sqlite3.Connection) -> None:
-        """Re-key runs whose stored spec still carries a ``sharding`` block.
-
-        Specs once had a ``sharding`` field; removing it from
-        ``ScenarioSpec.as_dict`` changed every :func:`spec_hash`.  Such rows
-        move to the hash of their spec without the field, so stores written
-        before the removal stay warm.  Where a row already exists under the
-        new key, that row is kept and the legacy one dropped.  Recorded grids
-        are pointed at the new keys so they stay rebuildable.
-        """
-        rows = db.execute(
-            "SELECT spec_hash, seed, spec_json FROM runs"
-            " WHERE spec_json LIKE '%\"sharding\":%'"
-        ).fetchall()
-        renamed: Dict[str, str] = {}
-        for row in rows:
-            tree = json.loads(row["spec_json"])
-            if tree.pop("sharding", None) is None:
-                continue
-            key = (row["spec_hash"], int(row["seed"]))
-            renamed[row["spec_hash"]] = spec_hash(tree)
-            db.execute(
-                "UPDATE OR IGNORE runs SET spec_hash = ?, spec_json = ?"
-                " WHERE spec_hash = ? AND seed = ?",
-                (renamed[row["spec_hash"]], canonical_json(tree), *key),
-            )
-            db.execute("DELETE FROM runs WHERE spec_hash = ? AND seed = ?", key)
-        if not renamed:
-            return
-        for grid in db.execute("SELECT sweep_hash, cells_json FROM grids").fetchall():
-            cells = json.loads(grid["cells_json"])
-            for cell in cells:
-                cell["spec_hash"] = renamed.get(cell["spec_hash"], cell["spec_hash"])
-            db.execute(
-                "UPDATE grids SET cells_json = ? WHERE sweep_hash = ?",
-                (json.dumps(cells), grid["sweep_hash"]),
-            )
 
     def _db(self) -> sqlite3.Connection:
         if self._connection is None:

@@ -15,7 +15,7 @@ from repro.core.messages import (
     SessionAck,
     SessionRequest,
 )
-from repro.core.model_controller import ModelController
+from repro.core.model_controller import WIRE_DTYPE, ModelController
 from repro.core.role_arbiter import RoleArbiter
 from repro.core.roles import Role
 from repro.core.topics import aggregator_params_topic
@@ -181,9 +181,9 @@ class TestModelController:
 
     def test_snapshot_cast_to_wire_dtype(self):
         controller = ModelController("me")
-        controller.register("s1", self._model(), wire_dtype="float32")
+        controller.register("s1", self._model())
         snapshot = controller.snapshot_local("s1")
-        assert all(v.dtype == np.float32 for v in snapshot.values())
+        assert all(v.dtype == np.dtype(WIRE_DTYPE) for v in snapshot.values())
 
     def test_local_version_counting(self):
         controller = ModelController("me")
@@ -216,9 +216,10 @@ class TestModelController:
 
     def test_payload_nbytes_reflects_wire_dtype(self):
         controller = ModelController("me")
-        record32 = controller.register("s1", self._model(), wire_dtype="float32")
-        record64 = controller.register("s2", self._model(), wire_dtype="float64")
-        assert record64.payload_nbytes == 2 * record32.payload_nbytes
+        record = controller.register("s1", self._model())
+        snapshot = controller.snapshot_local("s1")
+        assert record.payload_nbytes == sum(v.nbytes for v in snapshot.values())
+        assert record.payload_nbytes == record.model.payload_nbytes(WIRE_DTYPE)
 
     def test_record_metric_history(self):
         controller = ModelController("me")

@@ -15,6 +15,9 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.client import SDFLMQClient
+from repro.core.model_controller import WIRE_DTYPE
+from repro.ml.state import state_dict_nbytes
 from repro.runtime.experiment import ExperimentConfig, FLExperiment
 from repro.scenarios import (
     FaultSpec,
@@ -336,6 +339,34 @@ class TestScenarioRunner:
         assert [r.seed for r in results] == [1, 2]
         assert all(r.spec.name == "baseline" for r in results)
         assert results[0].signature != results[1].signature
+
+
+class TestWireDtype:
+    """Every model payload, aggregates included, crosses the wire at WIRE_DTYPE."""
+
+    def test_no_float64_model_payload_on_the_wire(self, monkeypatch):
+        aggregates = []
+        publish = SDFLMQClient._publish_contribution
+
+        def recording_publish(client, session_id, parent_id, contribution):
+            if client.arbiter.state(session_id).role.aggregates:
+                aggregates.append(contribution.state)
+            publish(client, session_id, parent_id, contribution)
+
+        monkeypatch.setattr(SDFLMQClient, "_publish_contribution", recording_publish)
+        spec = _tiny_spec(fleet=FleetSpec(num_clients=6))
+        experiment = execute_scenario(spec).experiment
+        session_id = experiment.config.session_id
+        wire = np.dtype(WIRE_DTYPE)
+
+        stored = experiment.parameter_server.global_state(session_id)
+        assert all(leaf.dtype == wire for leaf in stored.values())
+        assert aggregates, "the spec must have a mid-level aggregator"
+        for state in aggregates:
+            assert all(leaf.dtype == wire for leaf in state.values())
+        # The analytic delay model sizes transfers with payload_nbytes.
+        record = experiment.clients[0].models.record(session_id)
+        assert record.payload_nbytes == state_dict_nbytes(stored)
 
 
 class TestCommittedSignatures:

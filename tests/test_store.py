@@ -229,6 +229,17 @@ class TestResultsStore:
         with pytest.raises(ResultsStoreError, match="schema"):
             ResultsStore(path)
 
+    def test_store_stamped_with_schema_1_refused(self, tmp_path):
+        # Schema 1 stores hold runs whose aggregates crossed the wire as
+        # float64; serving them as cache hits would return stale signatures.
+        path = tmp_path / "results.sqlite"
+        with closing(sqlite3.connect(path)) as db:
+            db.execute("CREATE TABLE store_meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)")
+            db.execute("INSERT INTO store_meta (key, value) VALUES ('schema_version', '1')")
+            db.commit()
+        with pytest.raises(ResultsStoreError, match="schema 1"):
+            ResultsStore(path)
+
     def test_closed_store_raises(self, tmp_path):
         handle = ResultsStore(tmp_path / "results.sqlite")
         handle.close()
@@ -398,56 +409,6 @@ class TestGridWithStore:
         assert [cell["signature"] for cell in grid.cells] == result.signatures()
         for cell in grid.cells:
             assert store.get_run(cell["spec_hash"], cell["seed"]) is not None
-
-
-def _legacy_tree(tree):
-    """A spec document as stored before the ``sharding`` field was removed."""
-    return dict(tree, sharding={"shards": 1})
-
-
-class TestLegacySpecRekeying:
-    """Runs stored while specs carried a ``sharding`` block stay warm."""
-
-    def test_legacy_store_serves_the_warm_grid(self, tmp_path, counted_cells):
-        path = tmp_path / "results.sqlite"
-        with ScenarioRunner(store=path) as runner:
-            cold = runner.run_grid(_small_sweep(), workers=1)
-        # Re-key every row and grid cell the way the old ``as_dict`` did.
-        with closing(sqlite3.connect(path)) as db:
-            for key, spec_json in db.execute("SELECT spec_hash, spec_json FROM runs").fetchall():
-                tree = _legacy_tree(json.loads(spec_json))
-                db.execute(
-                    "UPDATE runs SET spec_hash = ?, spec_json = ? WHERE spec_hash = ?",
-                    (spec_hash(tree), canonical_json(tree), key),
-                )
-                db.execute(
-                    "UPDATE grids SET cells_json = replace(cells_json, ?, ?)",
-                    (key, spec_hash(tree)),
-                )
-            db.commit()
-        del counted_cells[:]
-
-        with ScenarioRunner(store=path) as runner:
-            store = runner.store
-            assert all("sharding" not in store.run_spec(r.spec_hash, r.seed) for r in store.runs())
-            (grid,) = store.grids()
-            for cell in grid.cells:
-                assert store.get_run(cell["spec_hash"], cell["seed"]) is not None
-            warm = runner.run_grid(_small_sweep(), workers=1)
-            assert warm.executed_cells == 0 and warm.cached_cells == 4
-            assert counted_cells == []
-            assert warm.signatures() == cold.signatures()
-
-    def test_existing_row_under_the_new_key_wins(self, tmp_path):
-        path = tmp_path / "results.sqlite"
-        spec = _tiny_base()
-        legacy = _legacy_tree(spec.as_dict())
-        with ResultsStore(path) as store:
-            store.put_run(spec_hash(spec), spec.seed, spec, "current", {"seed": spec.seed})
-            store.put_run(spec_hash(legacy), spec.seed, legacy, "legacy", {"seed": spec.seed})
-        with ResultsStore(path) as store:
-            runs = store.runs()
-            assert [(r.spec_hash, r.signature) for r in runs] == [(spec_hash(spec), "current")]
 
 
 class TestDeadlineTierMixGolden:
