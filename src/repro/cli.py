@@ -611,9 +611,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             # run was fresh or store-served.
             print()
             print(f"signature: {result.signature}")
-            if result.canonical_digest:
-                print(f"canonical digest: {result.canonical_digest}")
-                print(f"sharded signature: {result.sharded_signature}")
             return 0
 
         # sweep

@@ -404,9 +404,6 @@ class FLExperiment:
             region = index % len(self.brokers)
             broker = self.brokers[region]
             self._client_brokers[client_id] = broker
-            # Region tags feed the canonical trace digest; a no-op unless
-            # tracing is on.
-            self.scheduler.assign_trace_region(client_id, region)
             client = SDFLMQClient(
                 client_id,
                 # Latent clients (index >= initial) are provisioned but stay

@@ -73,10 +73,7 @@ from repro.utils.soa import StringTable
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mqtt.broker import MQTTBroker
 
-__all__ = ["EventScheduler", "canonical_trace_digest"]
-
-#: (due, region, sequence, line) — one structured trace entry.
-TraceEntry = Tuple[float, int, int, bytes]
+__all__ = ["EventScheduler"]
 
 #: Heap payload kinds.  Actions sort before deliveries at the same instant via
 #: their sentinel sequence of -1 (real delivery sequences start at 1).
@@ -148,21 +145,6 @@ class _FanoutBatch:
         self.session_epoch = session_epoch
 
 
-def canonical_trace_digest(entries: Iterable[TraceEntry]) -> str:
-    """SHA-256 over trace lines sorted on ``(deliver_at, region, sequence)``.
-
-    The sort key is a total order over deliveries (sequences are unique per
-    region broker), so the digest does not depend on the order in which
-    same-instant deliveries from different regions were dispatched.
-    """
-    digest = hashlib.sha256()
-    for _due, _region, _sequence, line in sorted(
-        entries, key=lambda entry: (entry[0], entry[1], entry[2])
-    ):
-        digest.update(line)
-    return digest.hexdigest()
-
-
 class EventScheduler:
     """Deterministic time-ordered delivery scheduler.
 
@@ -183,10 +165,11 @@ class EventScheduler:
         never overtake a large earlier one on the same logical connection.
     record_trace:
         Maintain a running SHA-256 digest over every dispatched delivery
-        (topic, sender, receiver, due time).  Two runs of the same scenario
-        with the same seed must produce identical digests — the scenario
-        determinism tests pin exactly that.  Off by default (costs a hash
-        update per message).
+        (topic, sender, receiver, due time, sequence), in dispatch order.
+        :attr:`trace_digest` is the trace half of a scenario's run
+        signature, so two runs of the same scenario with the same seed must
+        produce identical digests — the scenario determinism tests pin
+        exactly that.  Off by default (costs a hash update per message).
 
     Example
     -------
@@ -250,13 +233,6 @@ class EventScheduler:
         self._pairs = PairTails()
 
         self._trace = hashlib.sha256() if record_trace else None
-        # Structured copy of every trace line, kept only while tracing:
-        # ``(due, region_tag, sequence, line_bytes)``.  The region tag is the
-        # receiver's region ordinal (``assign_trace_region``), 0 when
-        # untagged; :func:`canonical_trace_digest` hashes these sorted on
-        # ``(due, region, sequence)``.
-        self._trace_entries: List[TraceEntry] = []
-        self._trace_regions: Dict[int, int] = {}
         # Observability hooks (repro.obs).  Both default to detached so the
         # per-event cost is one ``is None`` check; ``tools/bench.py`` gates
         # the attached cost (``obs_overhead_ratio``).
@@ -800,25 +776,6 @@ class EventScheduler:
             return None
         return self._trace.hexdigest()
 
-    def assign_trace_region(self, receiver_id: str, region: int) -> None:
-        """Tag *receiver_id*'s future trace entries with its *region* ordinal.
-
-        The tag is the middle key of :func:`canonical_trace_digest`'s
-        ``(deliver_at, region, sequence)`` sort.  No-op unless
-        ``record_trace``.
-        """
-        if self._trace is None:
-            return
-        self._trace_regions[self._ids.intern(receiver_id)] = int(region)
-
-    def trace_entries(self) -> List[TraceEntry]:
-        """Structured ``(due, region, sequence, line)`` trace entries.
-
-        Dispatch-ordered, exactly one entry per line hashed into
-        :attr:`trace_digest`.  Empty unless ``record_trace`` was set.
-        """
-        return self._trace_entries
-
     # ------------------------------------------------------------- processing
 
     def _advance_clock(self, due: float) -> None:
@@ -913,9 +870,6 @@ class EventScheduler:
                 f"|{due:.9f}|{sequence}\n".encode()
             )
             self._trace.update(line)
-            self._trace_entries.append(
-                (due, self._trace_regions.get(receiver_idx, 0), sequence, line)
-            )
         if self._obs_observe is not None:
             self._obs_observe(due - message.timestamp)
         if self.tracer is not None:
@@ -991,9 +945,6 @@ class EventScheduler:
                 f"|{due:.9f}|{batch.seq0 + i}\n".encode()
             )
             self._trace.update(line)
-            self._trace_entries.append(
-                (due, self._trace_regions.get(receiver_idx, 0), batch.seq0 + i, line)
-            )
         if self._obs_observe is not None:
             self._obs_observe(due - message.timestamp)
         if self.tracer is not None:

@@ -48,7 +48,6 @@ from repro.experiments.report import (
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.attach import attach_experiment_metrics, attach_experiment_tracer
 from repro.runtime.experiment import FLExperiment, RoundResult
-from repro.runtime.scheduler import canonical_trace_digest
 from repro.scenarios.compiler import CompiledScenario, compile_scenario
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec
@@ -108,7 +107,6 @@ class ScenarioResult:
     stragglers_cut: int = 0
     faults_started: int = 0
     messages_processed: int = 0
-    deliveries_dropped: int = 0
     total_traffic_bytes: int = 0
     final_sim_time_s: float = 0.0
     #: The executed experiment, for post-hoc inspection (fleet, event log,
@@ -125,12 +123,6 @@ class ScenarioResult:
     #: taken after the last round; persisted in the store payload and served
     #: by ``scenario serve /api/metrics``.
     metrics: Dict[str, object] = field(default_factory=dict, repr=False, compare=False)
-    #: Canonical delivery digest: SHA-256 over the trace lines sorted by
-    #: ``(deliver_at, region, sequence)``.
-    canonical_digest: str = ""
-    #: SHA-256 over the canonical digest plus the final global model
-    #: parameters.
-    sharded_signature: str = ""
 
     @property
     def from_store(self) -> bool:
@@ -236,35 +228,11 @@ class ScenarioResult:
         The payload carries everything a cached result must reproduce —
         metric scalars, per-round rows and the signature — as JSON-native
         values, so storing and re-loading it renders byte-identically to the
-        fresh result.
+        fresh result.  Its shape is defined once, by
+        :meth:`CellResult.to_payload`: a single run and a grid cell on the
+        same spec store the same row.
         """
-        return _plain(
-            {
-                "payload_schema": PAYLOAD_SCHEMA,
-                "scenario": self.spec.name,
-                "seed": int(self.seed),
-                "signature": self.signature,
-                "rounds_completed": self.rounds_completed,
-                "final_accuracy": self.final_accuracy,
-                "total_delay_s": self.total_delay_s,
-                "total_messaging_s": self.total_messaging_s,
-                "total_planning_s": self.total_planning_s,
-                "total_collecting_s": self.total_collecting_s,
-                "total_aggregating_s": self.total_aggregating_s,
-                "sim_time_s": float(self.final_sim_time_s),
-                "messages": int(self.messages_processed),
-                "traffic_bytes": int(self.total_traffic_bytes),
-                "deliveries_dropped": int(self.deliveries_dropped),
-                "clients_dropped": int(self.clients_dropped),
-                "clients_admitted": int(self.clients_admitted),
-                "stragglers_cut": int(self.stragglers_cut),
-                "faults_started": int(self.faults_started),
-                "round_rows": self.round_rows(),
-                "metrics": self.metrics,
-                "canonical_digest": self.canonical_digest,
-                "sharded_signature": self.sharded_signature,
-            }
-        )
+        return CellResult.from_scenario(0, {}, self).to_payload()
 
     @classmethod
     def from_payload(
@@ -277,14 +245,11 @@ class ScenarioResult:
             seed=int(payload["seed"]),
             rounds=[],
             signature=str(payload["signature"]),
-            canonical_digest=str(payload.get("canonical_digest", "")),
-            sharded_signature=str(payload.get("sharded_signature", "")),
             clients_dropped=int(payload["clients_dropped"]),
             clients_admitted=int(payload["clients_admitted"]),
             stragglers_cut=int(payload["stragglers_cut"]),
             faults_started=int(payload["faults_started"]),
             messages_processed=int(payload["messages"]),
-            deliveries_dropped=int(payload.get("deliveries_dropped", 0)),
             total_traffic_bytes=int(payload["traffic_bytes"]),
             final_sim_time_s=float(payload["sim_time_s"]),
             experiment=None,
@@ -336,7 +301,7 @@ class CellResult:
             scenario=result.spec.name,
             seed=result.seed,
             signature=result.signature,
-            rounds_completed=len(result.rounds),
+            rounds_completed=result.rounds_completed,
             final_accuracy=result.final_accuracy,
             total_s=result.total_delay_s,
             messaging_s=result.total_messaging_s,
@@ -357,7 +322,7 @@ class CellResult:
     # ------------------------------------------------------- store payloads
 
     def to_payload(self) -> Dict[str, object]:
-        """The store payload (same shape :meth:`ScenarioResult.to_payload` emits).
+        """The store payload of a grid cell or a single run.
 
         ``index`` and ``coordinates`` are grid-relative metadata, not
         content, so they stay out of the payload — the same ``(spec_hash,
@@ -522,41 +487,23 @@ def _write_trace_files(
     return paths
 
 
-def _signatures(compiled: CompiledScenario) -> Tuple[str, str, str]:
-    """(legacy signature, canonical digest, sharded signature) of a run.
+def _signatures(compiled: CompiledScenario) -> str:
+    """The run signature: SHA-256 over the trace digest and the final model.
 
-    The legacy signature hashes the scheduler's *dispatch-order* trace
-    digest plus the final global model parameters.  The canonical digest
-    re-hashes the same trace lines sorted by ``(deliver_at, region,
-    sequence)`` (:func:`~repro.runtime.scheduler.canonical_trace_digest`).
-    The sharded signature couples the canonical digest with the final model
-    the same way the legacy signature couples the dispatch-order digest.
+    The scheduler's *dispatch-order* delivery trace digest (``"no-trace"``
+    when tracing is off) is hashed together with the final global model
+    parameters of the first surviving participant, in sorted key order.
     """
     experiment = compiled.experiment
-    model_parts: List[bytes] = []
+    signature = hashlib.sha256()
+    signature.update((experiment.scheduler.trace_digest or "no-trace").encode())
     survivors = experiment.participants()
     if survivors:
         state = experiment.client_models[survivors[0].client_id].network.parameters()
         for key in sorted(state):
-            model_parts.append(key.encode())
-            model_parts.append(np.ascontiguousarray(state[key]).tobytes())
-
-    trace = experiment.scheduler.trace_digest
-    legacy = hashlib.sha256()
-    legacy.update((trace or "no-trace").encode())
-    for part in model_parts:
-        legacy.update(part)
-
-    canonical = (
-        canonical_trace_digest(experiment.scheduler.trace_entries())
-        if trace is not None
-        else ""
-    )
-    sharded = hashlib.sha256()
-    sharded.update((canonical or "no-trace").encode())
-    for part in model_parts:
-        sharded.update(part)
-    return legacy.hexdigest(), canonical, sharded.hexdigest()
+            signature.update(key.encode())
+            signature.update(np.ascontiguousarray(state[key]).tobytes())
+    return signature.hexdigest()
 
 
 def execute_scenario(
@@ -599,20 +546,16 @@ def execute_scenario(
             tracer.note_anomaly("stuck-round", args={"error": str(error)})
         raise
 
-    legacy, canonical, sharded_sig = _signatures(compiled)
     result = ScenarioResult(
         spec=spec,
         seed=effective_seed,
         rounds=rounds,
-        signature=legacy,
-        canonical_digest=canonical,
-        sharded_signature=sharded_sig,
+        signature=_signatures(compiled),
         clients_dropped=experiment.coordinator.clients_dropped,
         clients_admitted=experiment.clients_admitted,
         stragglers_cut=experiment.stragglers_cut_total,
         faults_started=compiled.injector.faults_started,
         messages_processed=experiment.scheduler.messages_processed,
-        deliveries_dropped=experiment.scheduler.deliveries_dropped,
         total_traffic_bytes=experiment._total_traffic_bytes(),
         final_sim_time_s=float(experiment.clock.now()),
         experiment=experiment,

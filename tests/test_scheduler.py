@@ -9,8 +9,6 @@ state across two runs — including under scheduled churn.
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 import pytest
 
@@ -20,7 +18,7 @@ from repro.mqtt.messages import QoS
 from repro.mqtt.network import LinkProfile, NetworkModel
 from repro.runtime.experiment import ExperimentConfig, FLExperiment
 from repro.runtime.pump import MessagePump
-from repro.runtime.scheduler import EventScheduler, canonical_trace_digest
+from repro.runtime.scheduler import EventScheduler
 from repro.sim.clock import SimulationClock
 from repro.sim.events import ChurnSchedule, EventLog
 
@@ -132,20 +130,6 @@ class TestEventOrdering:
         assert broker.scheduler is None
         publisher.publish("bus", b"x")
         assert client.pending_messages == 1
-
-
-class TestCanonicalDigest:
-    def test_canonical_digest_is_order_invariant(self):
-        entries = [
-            (float(due), region, seq, f"line-{due}-{region}-{seq}\n".encode())
-            for due in range(5)
-            for region in range(3)
-            for seq in range(4)
-        ]
-        reference = canonical_trace_digest(entries)
-        shuffled = list(entries)
-        random.Random(7).shuffle(shuffled)
-        assert canonical_trace_digest(shuffled) == reference
 
 
 class TestTimedExecution:

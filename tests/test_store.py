@@ -21,6 +21,7 @@ from contextlib import closing
 
 import pytest
 
+from repro.cli import main
 from repro.experiments.report import write_grid_report
 from repro.scenarios import (
     AxisSpec,
@@ -411,6 +412,38 @@ class TestGridWithStore:
             assert store.get_run(cell["spec_hash"], cell["seed"]) is not None
 
 
+class TestGridWarmedSingleRun:
+    """A row a grid cell wrote serves ``scenario run`` like a fresh run."""
+
+    def test_grid_row_serves_run_identically(self, tmp_path, capsys):
+        spec_path = os.path.join(REPO_ROOT, "tests", "data", "grid_smoke.json")
+        with open(spec_path, "r", encoding="utf-8") as handle:
+            sweep = SweepSpec.from_dict(json.load(handle))
+        spec = sweep.cells()[0].spec
+        store_path = tmp_path / "results.sqlite"
+        with ScenarioRunner(store_path) as runner:
+            runner.run_grid(sweep, workers=1)
+            served = runner.run(spec)
+        assert served.from_store
+        fresh = ScenarioRunner().run(spec)
+        assert served.signature == fresh.signature
+
+        # One payload shape: a single run stores what a grid cell stores.
+        payload = served.to_payload()
+        assert set(payload) == set(CellResult.from_scenario(0, {}, served).to_payload())
+        assert payload == json.loads(json.dumps(fresh.to_payload()))
+
+        cell_spec = tmp_path / "cell-0.json"
+        cell_spec.write_text(json.dumps(spec.as_dict()))
+        capsys.readouterr()
+        assert main(["scenario", "run", "--spec", str(cell_spec), "--store", str(store_path)]) == 0
+        served_stdout = capsys.readouterr().out
+        assert main(["scenario", "run", "--spec", str(cell_spec), "--no-store"]) == 0
+        fresh_stdout = capsys.readouterr().out
+        assert f"signature: {fresh.signature}\n" in fresh_stdout
+        assert served_stdout == fresh_stdout
+
+
 class TestDeadlineTierMixGolden:
     """The acceptance pin: warm ``deadline-tier-mix`` executes 0 cells and
     reproduces the committed golden signatures byte-identically."""
@@ -607,10 +640,18 @@ class TestPayloadRoundTrips:
         assert clone.round_rows() == result.round_rows()
 
     def test_payload_with_retired_shards_and_source_keys_loads(self):
+        """Rows written by older builds carry keys no reader uses any more."""
         result = ScenarioRunner().run(_tiny_base())
-        payload = dict(result.to_payload(), shards=2, source="sharded")
+        payload = dict(
+            result.to_payload(),
+            shards=2,
+            source="sharded",
+            canonical_digest="f2edc2bf" * 8,
+            sharded_signature="83fb88b0" * 8,
+            deliveries_dropped=3,
+        )
         clone = runner_module.ScenarioResult.from_payload(result.spec, payload)
         assert clone.from_store
         assert clone.signature == result.signature
-        assert clone.canonical_digest == result.canonical_digest
-        assert clone.sharded_signature == result.sharded_signature
+        assert clone.summary_row() == result.summary_row()
+        assert clone.round_rows() == result.round_rows()
