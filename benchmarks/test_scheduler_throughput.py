@@ -190,9 +190,9 @@ def test_cancel_deliveries_zero_match_early_out(bench_fast):
 def test_steady_state_broadcasts_do_not_accumulate_allocations(bench_fast):
     """Idle-state memory pin: repeated broadcasts reach a flat allocation plateau.
 
-    After warmup (columns grown, route plan cached, intern tables filled),
+    After warmup (FIFO tails grown, route plan cached, intern tables filled),
     further broadcast rounds must not hold on to new allocator blocks — the
-    columnar kernel recycles its slots.  ``sys.getallocatedblocks`` counts
+    kernel releases each in-flight entry as it fires.  ``sys.getallocatedblocks`` counts
     live CPython allocator blocks, so a per-round leak of even one record
     object per delivery would show up as ``num_clients`` extra blocks per
     round.
@@ -219,7 +219,7 @@ def test_steady_state_broadcasts_do_not_accumulate_allocations(bench_fast):
         # routing-plan indices stay valid across rounds.
         broker.traffic.clear()
 
-    for _ in range(3):  # warmup: grow columns, build plan, intern ids
+    for _ in range(3):  # warmup: grow FIFO tails, build plan, intern ids
         broadcast()
     gc.collect()
     baseline_blocks = sys.getallocatedblocks()

@@ -32,7 +32,7 @@ from repro.ml import (
 )
 from repro.ml.optim import Adam
 from repro.mqtt import MQTTBroker
-from repro.runtime import MessagePump
+from repro.runtime import EventScheduler
 
 NUM_CLIENTS = 5
 FL_ROUNDS = 3
@@ -48,14 +48,14 @@ def main() -> None:
 
     # -------------------------------------------------- broker + server side
     broker = MQTTBroker("edge-broker")
-    pump = MessagePump()
+    scheduler = EventScheduler()
     coordinator = Coordinator(
         broker,
         config=CoordinatorConfig(clustering=ClusteringConfig(policy="hierarchical", aggregator_fraction=0.3)),
     )
     parameter_server = ParameterServer(broker)
-    pump.register(coordinator.mqtt)
-    pump.register(parameter_server.mqtt)
+    scheduler.register(coordinator.mqtt)
+    scheduler.register(parameter_server.mqtt)
 
     # ----------------------------------------------------------- client side
     clients: list[SDFLMQClient] = []
@@ -66,14 +66,14 @@ def main() -> None:
             f"client_{index:03d}",
             broker=broker,
             preferred_role="trainer_aggregator",
-            pump=pump.run_until_idle,
+            pump=scheduler.run_until_idle,
         )
         network = make_paper_mlp(input_dim=train_set.num_features, num_classes=10, seed=42)
         model = ClassifierModel(network, name="mlp")
         clients.append(client)
         models.append(model)
         optimizers.append(Adam(network, lr=1e-3))
-        pump.register(client.mqtt)
+        scheduler.register(client.mqtt)
 
     # The first client creates the session (Listing 1, line 19); others join.
     clients[0].create_fl_session(
@@ -87,7 +87,7 @@ def main() -> None:
         client.join_fl_session(
             session_id=SESSION_ID, fl_rounds=FL_ROUNDS, model_name="mlp", num_samples=len(shard)
         )
-    pump.run_until_idle()
+    scheduler.run_until_idle()
 
     for client, model, shard in zip(clients, models, shards):
         client.set_model(SESSION_ID, model, num_samples=len(shard))
@@ -100,11 +100,11 @@ def main() -> None:
             for _epoch in range(LOCAL_EPOCHS):
                 model.train_epoch(loader, optimizers[index])
             client.send_local(SESSION_ID)
-        pump.run_until_idle()
+        scheduler.run_until_idle()
         for client in clients:
             client.wait_global_update(SESSION_ID)
             client.report_stats(SESSION_ID)
-        pump.run_until_idle()
+        scheduler.run_until_idle()
 
         accuracy = models[0].accuracy(test_set)
         print(f"round {round_index + 1}/{FL_ROUNDS}: global test accuracy = {accuracy:.4f}")

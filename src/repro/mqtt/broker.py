@@ -303,7 +303,7 @@ class _FanoutDeliveries(Sequence[DeliveryRecord]):
     inspect the result (tests, the simulation layer) get records materialized
     on demand from the plan entries plus the scheduler's clamped times.  Each
     access builds a fresh snapshot — the in-flight state itself lives in the
-    scheduler's columns.
+    scheduler's batch entry.
     """
 
     __slots__ = ("_message", "_entries", "_eqos", "_deliver_at", "_unclamped", "_seq0")

@@ -6,8 +6,7 @@ SDFLMQ's original implementation uses: ``connect``, ``subscribe``,
 ``message_callback_add``, a default ``on_message`` handler, and a ``loop`` /
 ``loop_forever``-style pump.  Because the broker lives in the same process,
 ``loop`` simply drains the client's inbox and invokes callbacks; the
-:class:`~repro.runtime.scheduler.EventScheduler` (or its
-:class:`~repro.runtime.pump.MessagePump` facade) drives all clients'
+:class:`~repro.runtime.scheduler.EventScheduler` drives all clients'
 deliveries in deterministic ``(deliver_at, sequence)`` order.
 """
 
@@ -239,9 +238,9 @@ class MQTTClient:
         return self._dispatch_message(record.message, record.effective_qos)
 
     def _dispatch_message(self, message: MQTTMessage, effective_qos: int) -> bool:
-        # Hot-path entry used by the columnar event scheduler: everything the
-        # client needs is the shared message plus the effective QoS, so no
-        # DeliveryRecord is materialized per delivery.
+        # Hot-path entry used by the event scheduler: everything the client
+        # needs is the shared message plus the effective QoS, so no
+        # DeliveryRecord is materialized per fan-out member.
         # QoS 2: exactly-once — drop duplicates keyed by (origin broker, id).
         if effective_qos == QoS.EXACTLY_ONCE:
             key = (message.origin_broker or "", message.message_id)

@@ -131,15 +131,14 @@ class DeliveryRecord:
     specification.  ``deliver_at`` is the simulated time at which the message
     becomes visible to the subscriber (publish time + modelled network delay).
 
-    This class is the public *façade* over the scheduler's columnar hot
-    state: in flight, a delivery lives as one slot in the
-    :class:`~repro.runtime.columns.DeliveryColumns` struct-of-arrays (or as
-    one member of a fan-out batch entry), and a ``DeliveryRecord`` is only
-    materialized at the API boundary — ``pending_deliveries()``,
-    ``cancel_deliveries`` predicates, broker ``publish()`` results, offline
-    requeueing, and targets without the ``_dispatch_message`` fast path.
-    Materialized records are detached snapshots; mutating one does not write
-    back into the columns.
+    A single (scalar-path) delivery's record is *live* while in flight: the
+    event scheduler's heap entry holds this very object and dispatches from
+    it, and its FIFO clamp writes ``deliver_at`` / ``unclamped_deliver_at``
+    in place.  The object ``publish()`` returned is therefore the one
+    ``pending_deliveries()`` yields and ``cancel_deliveries`` predicates
+    see; callers must not mutate it.  Members of a vectorized broadcast
+    fan-out are stored in one batch entry instead, and their records are
+    materialized fresh at those API boundaries (detached snapshots).
     """
 
     message: MQTTMessage

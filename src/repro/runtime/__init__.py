@@ -4,9 +4,8 @@ The runtime drives a complete SDFLMQ deployment inside one process:
 
 * :class:`EventScheduler` — time-ordered discrete-event kernel draining
   deliveries from a heap keyed by ``(deliver_at, sequence)`` while advancing
-  the simulation clock;
-* :class:`MessagePump` — API-compatible facade over the scheduler so the
-  publish/subscribe choreography progresses deterministically;
+  the simulation clock, so the publish/subscribe choreography progresses
+  deterministically;
 * :class:`CriticalPathDelayModel` — converts one round's topology, device
   fleet and payload sizes into the simulated *total processing delay* the
   paper reports (Fig. 8), by walking the aggregation tree's critical path;
@@ -17,7 +16,6 @@ The runtime drives a complete SDFLMQ deployment inside one process:
 """
 
 from repro.runtime.scheduler import EventScheduler
-from repro.runtime.pump import MessagePump
 from repro.runtime.delay import CriticalPathDelayModel, RoundDelayBreakdown
 from repro.runtime.experiment import (
     ExperimentConfig,
@@ -28,7 +26,6 @@ from repro.runtime.experiment import (
 
 __all__ = [
     "EventScheduler",
-    "MessagePump",
     "CriticalPathDelayModel",
     "RoundDelayBreakdown",
     "ExperimentConfig",

@@ -41,7 +41,6 @@ from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.network import NetworkModel
 from repro.mqttfc.compression import CompressionConfig
 from repro.runtime.delay import CriticalPathDelayModel, RoundDelayBreakdown
-from repro.runtime.pump import MessagePump
 from repro.runtime.scheduler import EventScheduler
 from repro.sim.clock import SimulationClock
 from repro.sim.costs import CostModel
@@ -258,7 +257,6 @@ class FLExperiment:
         self.event_log: EventLog
         self.coordinator: Coordinator
         self.parameter_server: ParameterServer
-        self.pump: MessagePump
         self.scheduler: EventScheduler
         self.clients: List[SDFLMQClient] = []
         self.client_models: Dict[str, ClassifierModel] = {}
@@ -375,7 +373,6 @@ class FLExperiment:
         self.scheduler = EventScheduler(
             clock=self.clock, record_trace=config.record_delivery_trace
         )
-        self.pump = MessagePump(scheduler=self.scheduler)
         for broker in self.brokers:
             self.scheduler.attach_broker(broker)
 
@@ -394,8 +391,8 @@ class FLExperiment:
             event_log=self.event_log,
         )
         self.parameter_server = ParameterServer(self.broker, event_log=self.event_log)
-        self.pump.register(self.coordinator.mqtt)
-        self.pump.register(self.parameter_server.mqtt)
+        self.scheduler.register(self.coordinator.mqtt)
+        self.scheduler.register(self.parameter_server.mqtt)
 
         compression = CompressionConfig(enabled=config.compression_enabled)
         initial = config.initial_clients or config.num_clients
@@ -415,12 +412,12 @@ class FLExperiment:
                 chunk_bytes=config.chunk_bytes,
                 stats_provider=(lambda cid=client_id: self.fleet.stats(cid)),
                 resources=self.resources,
-                pump=self.pump.run_until_idle,
+                pump=self.scheduler.run_until_idle,
                 update_codec=config.update_codec,
             )
             client.on_role_assigned = self._client_role_assigned
             self.clients.append(client)
-            self.pump.register(client.mqtt)
+            self.scheduler.register(client.mqtt)
 
             network = make_paper_mlp(
                 input_dim=config.input_side * config.input_side,
@@ -452,7 +449,7 @@ class FLExperiment:
                 model_name=config.model_name,
                 num_samples=len(self.client_datasets[client.client_id]),
             )
-        self.pump.run_until_idle()
+        self.scheduler.run_until_idle()
 
         session = self.coordinator.session(config.session_id)
         if session.state != SessionState.RUNNING:
@@ -460,7 +457,7 @@ class FLExperiment:
             # auto-start never fires; start it explicitly.
             if session.state == SessionState.READY:
                 self.coordinator.start_session(config.session_id)
-                self.pump.run_until_idle()
+                self.scheduler.run_until_idle()
             if session.state != SessionState.RUNNING:
                 raise RuntimeError(
                     f"session failed to start: state={session.state.value!r}, "
@@ -552,7 +549,7 @@ class FLExperiment:
         if config.round_deadline_s is not None:
             self._drain_round_deadline(session_id)
         else:
-            self.pump.run_until_idle()
+            self.scheduler.run_until_idle()
 
         # Re-filter: a participant may have crashed or been cut off while the
         # round's messages drained.
@@ -598,7 +595,7 @@ class FLExperiment:
         if config.round_deadline_s is not None:
             self._drain_round_boundary(session_id, round_index)
         else:
-            self.pump.run_until_idle()
+            self.scheduler.run_until_idle()
         self._last_roles_changed = self.coordinator.role_messages_sent - roles_before
 
         # The scheduler advanced the clock to every delivery's ``deliver_at``
@@ -848,7 +845,7 @@ class FLExperiment:
     def _drain_control(self, session_id: str) -> None:
         """Drain control-plane handshakes (join acks, role sets)."""
         if self.config.round_deadline_s is None:
-            self.pump.run_until_idle()
+            self.scheduler.run_until_idle()
         else:
             self.scheduler.run_until_quiet()
 

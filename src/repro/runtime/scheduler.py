@@ -1,4 +1,4 @@
-"""Event-driven delivery scheduler over columnar (struct-of-arrays) hot state.
+"""Event-driven delivery scheduler.
 
 The seed runtime processed messages with a round-robin sweep over client
 inboxes, which ignores the per-delivery ``deliver_at`` timestamps the broker
@@ -9,33 +9,33 @@ as the final deterministic tiebreak) from which deliveries are drained in
 simulated-time order, advancing the :class:`~repro.sim.clock.SimulationClock`
 as it goes.
 
-Since the columnar rewrite (ROADMAP item 1) the heap no longer holds one
-record *object* per delivery.  In-flight state lives in two places:
+The heap holds deliveries in two forms:
 
-* **Single deliveries** sit in :class:`~repro.runtime.columns.DeliveryColumns`
-  — preallocated, growable numpy columns plus object lists — and travel
-  through the heap as ``(deliver_at, sequence, enqueue, kind, slot)`` with a
-  plain ``int`` slot.  Slots are recycled through a freelist, so steady-state
-  traffic allocates nothing per delivery.
+* **Single deliveries** travel as ``(deliver_at, sequence, enqueue, kind,
+  (target, record))``: the :class:`~repro.mqtt.messages.DeliveryRecord` the
+  broker built is stored as is and dispatched from.  The record is *live*
+  while in flight — the FIFO clamp, and the re-clamp after a cancel, write
+  its ``deliver_at`` / ``unclamped_deliver_at`` — so the object ``publish()``
+  returned is the one :meth:`pending_deliveries` yields and cancel
+  predicates see.
 * **Broadcast fan-outs** arrive through :meth:`schedule_batch` as *one* heap
   entry carrying a :class:`_FanoutBatch` (shared message, per-member target /
   filter / receiver-id / QoS vectors).  The FIFO clamp for the whole fan-out
   is one vectorized gather / ``maximum`` / scatter against the
-  :class:`~repro.runtime.columns.PairTails` table.  When a batch reaches the
-  top of the heap it becomes a *cursor*: members are served one per
-  :meth:`_pop_and_fire` call, each compared against the current heap top (and
-  any other active cursor), so ``stop_when`` predicates, timed actions and
-  same-instant traffic from other brokers interleave **exactly** as they did
-  when every member was its own heap entry.  Identical
-  ``(deliver_at, sequence, enqueue)`` total order is the determinism
-  contract: every scenario and grid golden signature is byte-identical to the
-  object-per-delivery kernel's.
+  :class:`PairTails` table.  When a batch reaches the top of the heap it
+  becomes a *cursor*: members are served one per :meth:`_pop_and_fire` call,
+  each compared against the current heap top (and any other active cursor),
+  so ``stop_when`` predicates, timed actions and same-instant traffic from
+  other brokers interleave **exactly** as they would if every member were its
+  own heap entry.  Batch members are materialized as records only on cold
+  paths (:meth:`pending_deliveries`, cancel predicates, offline requeue,
+  targets without ``_dispatch_message``), and a cancel that breaks a batch
+  up turns its survivors into single deliveries with unchanged keys.
 
-Sender / receiver / topic strings are interned once on ingest
-(:class:`~repro.utils.soa.StringTable`) and only rehydrated on cold paths —
-:meth:`pending_deliveries`, cancel predicates and offline requeue materialize
-ordinary :class:`~repro.mqtt.messages.DeliveryRecord` façades from the
-columns on demand.
+Identical ``(deliver_at, sequence, enqueue)`` total order is the determinism
+contract: every scenario and grid golden signature depends on it.  Sender and
+receiver ids are interned (:class:`~repro.utils.soa.StringTable`) only to key
+the per-connection FIFO table and the batch vectors.
 
 Two ingestion paths feed the heap:
 
@@ -52,23 +52,20 @@ Besides deliveries the heap also holds *timed actions* (arbitrary callables
 registered with :meth:`call_at`), which is what the churn scenarios in
 :mod:`repro.sim.events` use to join/leave/reconnect clients at scheduled
 simulation times.
-
-:class:`~repro.runtime.pump.MessagePump` is a thin API-compatible facade over
-this class, so all existing choreography code keeps working unchanged.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.mqtt.client import MQTTClient
 from repro.mqtt.messages import DeliveryRecord, QoS
-from repro.runtime.columns import NO_UNCLAMPED, DeliveryColumns, PairTails
-from repro.utils.soa import StringTable
+from repro.utils.soa import StringTable, grow
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mqtt.broker import MQTTBroker
@@ -78,12 +75,59 @@ __all__ = ["EventScheduler"]
 #: Heap payload kinds.  Actions sort before deliveries at the same instant via
 #: their sentinel sequence of -1 (real delivery sequences start at 1).
 _KIND_ACTION = 0
-_KIND_DELIVERY = 1  # payload: int slot into DeliveryColumns
+_KIND_DELIVERY = 1  # payload: (target, DeliveryRecord)
 _KIND_BATCH = 2  # payload: _FanoutBatch (n same-deliver_at members)
 
 #: Sequence sentinel used for timed actions so that churn events scheduled at
 #: time *t* are applied before any delivery due at *t*.
 _ACTION_SEQUENCE = -1
+
+#: Batch sentinel for "this member was never FIFO-clamped" — NaN never
+#: compares equal to a real deliver_at.
+NO_UNCLAMPED = math.nan
+
+_INITIAL_CAPACITY = 1024
+
+
+class PairTails:
+    """Dense FIFO-clamp tails: latest scheduled ``deliver_at`` per connection.
+
+    ``(sender id, receiver id)`` int pairs are interned to a dense pair slot;
+    the tail array starts at ``-inf`` (no in-flight predecessor), so the
+    scalar clamp is a single compare and the vectorized fan-out clamp is a
+    gather / ``maximum`` / scatter over one index array.
+    """
+
+    __slots__ = ("_index", "tails", "_capacity")
+
+    def __init__(self, capacity: int = _INITIAL_CAPACITY) -> None:
+        capacity = max(int(capacity), 16)
+        self._index: Dict[Tuple[int, int], int] = {}
+        self.tails = np.full(capacity, -math.inf, dtype=np.float64)
+        self._capacity = capacity
+
+    def slot(self, sender: int, receiver: int) -> int:
+        """The pair slot for a connection, allocated on first use."""
+        key = (sender, receiver)
+        index = self._index.get(key)
+        if index is None:
+            index = len(self._index)
+            self._index[key] = index
+            if index >= self._capacity:
+                self.tails = grow(self.tails, index + 1, fill=-math.inf)
+                self._capacity = len(self.tails)
+        return index
+
+    def slots_for(self, sender: int, receivers: np.ndarray) -> np.ndarray:
+        """Pair slots for one sender against many receivers (int64 array)."""
+        slot = self.slot
+        return np.array([slot(sender, int(r)) for r in receivers], dtype=np.int64)
+
+    def clear_pair(self, sender: int, receiver: int) -> None:
+        """Reset a connection's tail (its last in-flight delivery was cancelled)."""
+        index = self._index.get((sender, receiver))
+        if index is not None:
+            self.tails[index] = -math.inf
 
 
 class _FanoutBatch:
@@ -226,10 +270,8 @@ class EventScheduler:
         self._cursors: List[_FanoutBatch] = []
         self._brokers: List["MQTTBroker"] = []
 
-        # Columnar hot state: interned ids, per-slot delivery columns, and the
-        # per-(sender, receiver) FIFO tails.
+        # Interned ids and the per-(sender, receiver) FIFO tails.
         self._ids = StringTable()
-        self._columns = DeliveryColumns()
         self._pairs = PairTails()
 
         self._trace = hashlib.sha256() if record_trace else None
@@ -324,21 +366,17 @@ class EventScheduler:
     def schedule(self, target: object, record: DeliveryRecord) -> None:
         """Enqueue one delivery for ``target`` (the broker's scalar path).
 
-        The record façade is decomposed into the columns here; ``record``
-        itself is updated with any FIFO clamp applied (callers holding the
-        object see the same ``deliver_at`` the heap uses) and then released —
-        the scheduler keeps no reference to it.
+        The heap entry carries ``record`` itself, which stays live until it
+        fires or is cancelled: the clamped time is written onto
+        ``record.deliver_at`` (callers holding the object see the same time
+        the heap uses), and callers must not mutate it while in flight.
         """
-        message = record.message
-        ids = self._ids
-        sender_idx = ids.intern(message.sender_id)
-        receiver_idx = ids.intern(record.subscriber_id)
         deliver_at = float(record.deliver_at)
         if self.fifo_per_connection:
             # Per-connection FIFO: a delivery never arrives before an earlier
             # one from the same sender to the same receiver, mirroring MQTT's
             # in-order guarantee over a single TCP connection.
-            pair = self._pairs.slot(sender_idx, receiver_idx)
+            pair = self._pairs.slot(*self._pair_ids(record))
             tails = self._pairs.tails
             tail = tails[pair]
             if deliver_at < tail:
@@ -347,28 +385,20 @@ class EventScheduler:
                 if record.unclamped_deliver_at is None:
                     record.unclamped_deliver_at = deliver_at
                 deliver_at = float(tail)
-                record.deliver_at = deliver_at
             tails[pair] = deliver_at
-        unclamped = record.unclamped_deliver_at
-        slot = self._columns.alloc(
-            message,
-            target,
-            record.subscription_filter,
-            deliver_at,
-            NO_UNCLAMPED if unclamped is None else float(unclamped),
-            int(record.sequence),
-            int(record.effective_qos),
-            sender_idx,
-            receiver_idx,
-            ids.intern(message.topic),
-        )
+        record.deliver_at = deliver_at
         enqueue = self._next_enqueue
         self._next_enqueue = enqueue + 1
         heapq.heappush(
             self._heap,
-            (deliver_at, int(record.sequence), enqueue, _KIND_DELIVERY, slot),
+            (deliver_at, int(record.sequence), enqueue, _KIND_DELIVERY, (target, record)),
         )
         self._heap_deliveries += 1
+
+    def _pair_ids(self, record: DeliveryRecord) -> Tuple[int, int]:
+        """Interned ``(sender, receiver)`` ids of a record's connection."""
+        ids = self._ids
+        return ids.intern(record.message.sender_id), ids.intern(record.subscriber_id)
 
     def intern_fanout(
         self, sender_id: Optional[str], receiver_ids: Sequence[str]
@@ -449,26 +479,23 @@ class EventScheduler:
             # Non-uniform due times (the FIFO clamp deferred a subset, or
             # heterogeneous links): one heap entry per member, preserving the
             # exact per-member (due, sequence, enqueue) keys.
-            columns = self._columns
-            topic_idx = self._ids.intern(message.topic)
             due_list = effective.tolist()
             heappush = heapq.heappush
             heap = self._heap
             for i in range(n):
-                u = NO_UNCLAMPED if unclamped is None else float(unclamped[i])
-                slot = columns.alloc(
+                record = self._member_record(
                     message,
-                    targets[i],
-                    filters[i],
-                    due_list[i],
-                    u,
-                    seq0 + i,
-                    effective_qos[i],
-                    sender_idx,
                     receiver_idx[i],
-                    topic_idx,
+                    filters[i],
+                    effective_qos[i],
+                    due_list[i],
+                    seq0 + i,
+                    None if unclamped is None else unclamped[i],
                 )
-                heappush(heap, (due_list[i], seq0 + i, enq0 + i, _KIND_DELIVERY, slot))
+                heappush(
+                    heap,
+                    (due_list[i], seq0 + i, enq0 + i, _KIND_DELIVERY, (targets[i], record)),
+                )
         self._heap_deliveries += n
         return effective, unclamped
 
@@ -516,49 +543,54 @@ class EventScheduler:
 
     # --------------------------------------------------------- materialization
 
-    def _materialize_slot(self, slot: int) -> DeliveryRecord:
-        """Rebuild the public record façade for one columnar delivery slot."""
-        columns = self._columns
-        unclamped = columns.unclamped[slot]
+    def _member_record(
+        self,
+        message: object,
+        receiver_idx: int,
+        sub_filter: str,
+        effective_qos: int,
+        due: float,
+        sequence: int,
+        unclamped: Optional[float],
+    ) -> DeliveryRecord:
+        """Build the record for one fan-out member (``unclamped`` NaN = none)."""
         return DeliveryRecord(
-            message=columns.message[slot],
-            subscriber_id=self._ids.value(int(columns.receiver[slot])),
-            subscription_filter=columns.sub_filter[slot],
-            effective_qos=QoS(int(columns.effective_qos[slot])),
-            deliver_at=float(columns.deliver_at[slot]),
-            sequence=int(columns.sequence[slot]),
-            unclamped_deliver_at=float(unclamped) if unclamped == unclamped else None,
+            message=message,  # type: ignore[arg-type]
+            subscriber_id=self._ids.value(receiver_idx),  # type: ignore[arg-type]
+            subscription_filter=sub_filter,
+            effective_qos=QoS(int(effective_qos)),
+            deliver_at=due,
+            sequence=sequence,
+            unclamped_deliver_at=(
+                float(unclamped) if unclamped is not None and unclamped == unclamped else None
+            ),
         )
 
     def _materialize_batch_member(self, batch: _FanoutBatch, i: int) -> DeliveryRecord:
-        """Rebuild the record façade for member ``i`` of a fan-out batch."""
-        unclamped: Optional[float] = None
-        if batch.unclamped is not None:
-            value = batch.unclamped[i]
-            if value == value:
-                unclamped = float(value)
-        return DeliveryRecord(
-            message=batch.message,
-            subscriber_id=self._ids.value(batch.receiver_idx[i]),
-            subscription_filter=batch.filters[i],
-            effective_qos=QoS(int(batch.effective_qos[i])),
-            deliver_at=batch.due,
-            sequence=batch.seq0 + i,
-            unclamped_deliver_at=unclamped,
+        """Build the record for member ``i`` of a fan-out batch."""
+        return self._member_record(
+            batch.message,
+            batch.receiver_idx[i],
+            batch.filters[i],
+            batch.effective_qos[i],
+            batch.due,
+            batch.seq0 + i,
+            None if batch.unclamped is None else batch.unclamped[i],
         )
 
     def pending_deliveries(self) -> List[DeliveryRecord]:
         """In-flight delivery records, ordered by ``(deliver_at, sequence)``.
 
         The scenario runner uses this to identify stragglers at a round
-        deadline: any sender with an upload still in flight is late.  Records
-        are materialized fresh from the columns on every call.
+        deadline: any sender with an upload still in flight is late.  Single
+        deliveries are returned as the live records the heap holds (do not
+        mutate them); fan-out batch members are materialized fresh.
         """
         records: List[DeliveryRecord] = []
         for entry in self._heap:
             kind = entry[3]
             if kind == _KIND_DELIVERY:
-                records.append(self._materialize_slot(entry[4]))  # type: ignore[arg-type]
+                records.append(entry[4][1])  # type: ignore[index]
             elif kind == _KIND_BATCH:
                 batch = entry[4]
                 records.extend(
@@ -581,14 +613,13 @@ class EventScheduler:
         round cuts off a straggler's late uploads: the messages vanish from
         the network rather than arriving after the round moved on.
 
-        The sweep is two-phase: a read-only matching pass over the columns
+        The sweep is two-phase: a read-only matching pass over the heap
         first, so the zero-match case (common at healthy round deadlines)
         returns without rebuilding or re-heapifying anything.
         """
         if self._heap_deliveries == 0:
             return 0
         heap = self._heap
-        columns = self._columns
         doomed_singles: set = set()
         doomed_batches: Dict[int, List[int]] = {}
         cancelled_pairs: set = set()
@@ -596,12 +627,10 @@ class EventScheduler:
         for position, entry in enumerate(heap):
             kind = entry[3]
             if kind == _KIND_DELIVERY:
-                slot = entry[4]
-                if predicate(self._materialize_slot(slot)):  # type: ignore[arg-type]
+                record = entry[4][1]  # type: ignore[index]
+                if predicate(record):
                     doomed_singles.add(position)
-                    cancelled_pairs.add(
-                        (int(columns.sender[slot]), int(columns.receiver[slot]))  # type: ignore[index]
-                    )
+                    cancelled_pairs.add(self._pair_ids(record))
                     cancelled += 1
             elif kind == _KIND_BATCH:
                 batch = entry[4]
@@ -641,9 +670,7 @@ class EventScheduler:
         for position, entry in enumerate(heap):
             kind = entry[3]
             if kind == _KIND_DELIVERY:
-                if position in doomed_singles:
-                    columns.free(entry[4])  # type: ignore[arg-type]
-                else:
+                if position not in doomed_singles:
                     kept.append(entry)
             elif kind == _KIND_BATCH:
                 batch = entry[4]
@@ -692,32 +719,19 @@ class EventScheduler:
         doomed: set,
         out: List[Tuple[float, int, int, int, object]],
     ) -> None:
-        """Convert a batch's surviving members into per-slot heap entries.
+        """Convert a batch's surviving members into single-delivery entries.
 
         Each survivor keeps its original ``(due, sequence, enqueue)`` key, so
         heap order is untouched; only the storage form changes.  Cold path —
         reached only through :meth:`cancel_deliveries`.
         """
-        columns = self._columns
-        topic_idx = self._ids.intern(batch.message.topic)
-        unclamped = batch.unclamped
         for i in range(start, batch.n):
             if i in doomed:
                 continue
-            u = NO_UNCLAMPED if unclamped is None else float(unclamped[i])
-            slot = columns.alloc(
-                batch.message,
-                batch.targets[i],
-                batch.filters[i],
-                batch.due,
-                u,
-                batch.seq0 + i,
-                batch.effective_qos[i],
-                batch.sender_idx,
-                batch.receiver_idx[i],
-                topic_idx,
+            record = self._materialize_batch_member(batch, i)
+            out.append(
+                (batch.due, batch.seq0 + i, batch.enq0 + i, _KIND_DELIVERY, (batch.targets[i], record))
             )
-            out.append((batch.due, batch.seq0 + i, batch.enq0 + i, _KIND_DELIVERY, slot))
 
     def _reclamp_pairs(
         self,
@@ -727,21 +741,19 @@ class EventScheduler:
         """Re-run the per-connection FIFO clamp for ``pairs`` after a cancel.
 
         Surviving deliveries of each pair are re-clamped in enqueue order
-        starting from each slot's original (pre-clamp) time, and the pair's
+        starting from each record's original (pre-clamp) time, and the pair's
         tail is rebuilt from the result.  Entries of other pairs, kept
         batches (which by construction hold no affected member) and timed
-        actions pass through untouched.  A slot whose re-clamped time lands
-        in the simulated past simply fires at the next drain step — exactly
-        how an inbox-collected record behaves.  Entries are updated in place;
-        the caller re-heapifies.
+        actions pass through untouched.  A delivery whose re-clamped time
+        lands in the simulated past simply fires at the next drain step —
+        exactly how an inbox-collected record behaves.  Entries and their
+        records are updated in place; the caller re-heapifies.
         """
-        columns = self._columns
         affected: Dict[Tuple[int, int], List[int]] = {}
         for index, entry in enumerate(entries):
             if entry[3] != _KIND_DELIVERY:
                 continue
-            slot = entry[4]
-            pair = (int(columns.sender[slot]), int(columns.receiver[slot]))  # type: ignore[index]
+            pair = self._pair_ids(entry[4][1])  # type: ignore[index]
             if pair in pairs:
                 affected.setdefault(pair, []).append(index)
         if not affected:
@@ -752,20 +764,19 @@ class EventScheduler:
             tail: Optional[float] = None
             # Enqueue order (entry[2]) is scheduling order for the pair.
             for index in sorted(indices, key=lambda i: entries[i][2]):
-                due, sequence, enqueue, kind, slot = entries[index]
-                unclamped = columns.unclamped[slot]  # type: ignore[index]
-                base = float(unclamped) if unclamped == unclamped else float(
-                    columns.deliver_at[slot]  # type: ignore[index]
-                )
+                due, sequence, enqueue, kind, payload = entries[index]
+                record = payload[1]  # type: ignore[index]
+                unclamped = record.unclamped_deliver_at
+                base = float(record.deliver_at if unclamped is None else unclamped)
                 if fifo and tail is not None and base < tail:
                     new_due = tail
                 else:
                     new_due = base
-                    columns.unclamped[slot] = NO_UNCLAMPED  # no longer clamped
-                columns.deliver_at[slot] = new_due
+                    record.unclamped_deliver_at = None  # no longer clamped
+                record.deliver_at = new_due
                 tail = new_due
                 if new_due != due:
-                    entries[index] = (new_due, sequence, enqueue, kind, slot)
+                    entries[index] = (new_due, sequence, enqueue, kind, payload)
             if tail is not None:
                 tails.tails[tails.slot(*pair)] = tail
 
@@ -821,7 +832,7 @@ class EventScheduler:
 
     def _fire_entry(self, entry: Tuple[float, int, int, int, object]) -> bool:
         """Fire one popped heap entry (action, single delivery, or batch head)."""
-        due, _sequence, _index, kind, payload = entry
+        due, sequence, _index, kind, payload = entry
         if kind == _KIND_BATCH:
             # The batch becomes a cursor; its members fire one per call so
             # stop_when / deadline checks interleave per delivery.
@@ -835,10 +846,8 @@ class EventScheduler:
             self._heap_actions -= 1
             return False
         self._heap_deliveries -= 1
-        columns = self._columns
-        slot = payload
-        target = columns.target[slot]  # type: ignore[index]
-        message = columns.message[slot]  # type: ignore[index]
+        target, record = payload  # type: ignore[misc]
+        message = record.message
         # A client that disconnected after the broker routed this delivery but
         # before its deliver_at never receives it.  QoS>0 records destined for
         # a persistent session are requeued in the broker's offline queue (they
@@ -851,22 +860,14 @@ class EventScheduler:
         except AttributeError:
             connected = True
         if connected is False:
-            record = self._materialize_slot(slot)  # type: ignore[arg-type]
-            columns.free(slot)  # type: ignore[arg-type]
             if self._requeue_offline(record):
                 self.deliveries_requeued += 1
             else:
                 self.deliveries_dropped += 1
             return False
-        receiver_idx = int(columns.receiver[slot])  # type: ignore[index]
-        sequence = int(columns.sequence[slot])  # type: ignore[index]
-        effective_qos = int(columns.effective_qos[slot])  # type: ignore[index]
-        sub_filter = columns.sub_filter[slot]  # type: ignore[index]
-        unclamped = columns.unclamped[slot]  # type: ignore[index]
-        columns.free(slot)  # type: ignore[arg-type]
         if self._trace is not None:
             line = (
-                f"{message.topic}|{message.sender_id}|{self._ids.value(receiver_idx)}"
+                f"{message.topic}|{message.sender_id}|{record.subscriber_id}"
                 f"|{due:.9f}|{sequence}\n".encode()
             )
             self._trace.update(line)
@@ -882,22 +883,13 @@ class EventScheduler:
                 due,
                 args={
                     "sender": message.sender_id,
-                    "receiver": self._ids.value(receiver_idx),
+                    "receiver": record.subscriber_id,
                     "seq": sequence,
                 },
             )
         try:
             dispatch_message = target._dispatch_message
         except AttributeError:
-            record = DeliveryRecord(
-                message=message,
-                subscriber_id=self._ids.value(receiver_idx),
-                subscription_filter=sub_filter,
-                effective_qos=QoS(effective_qos),
-                deliver_at=due,
-                sequence=sequence,
-                unclamped_deliver_at=float(unclamped) if unclamped == unclamped else None,
-            )
             try:
                 dispatch = target._dispatch
             except AttributeError:  # plain DeliveryTarget: hand the record over untimed
@@ -906,7 +898,7 @@ class EventScheduler:
                 return True
             handled = bool(dispatch(record))
         else:
-            handled = bool(dispatch_message(message, effective_qos))
+            handled = bool(dispatch_message(message, int(record.effective_qos)))
         if handled:
             self.messages_processed += 1
         return handled

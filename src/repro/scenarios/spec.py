@@ -21,6 +21,8 @@ long before a simulation starts.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -87,7 +89,7 @@ def _build(cls, data: Mapping[str, object], context: str):
         raise ScenarioSpecError(f"unknown {context} field(s): {sorted(unknown)}")
     try:
         return cls(**data)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ScenarioSpecError):
             raise
         raise ScenarioSpecError(f"invalid {context}: {exc}") from exc
@@ -96,6 +98,26 @@ def _build(cls, data: Mapping[str, object], context: str):
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ScenarioSpecError(message)
+
+
+def _require_count(value: object, name: str) -> None:
+    """Require a count ``>= 1``; ``None``, NaN and inf are rejected by name."""
+    try:
+        valid = int(value) >= 1  # type: ignore[call-overload]
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    _require(valid, f"{name} must be >= 1, got {value!r}")
+
+
+def _require_finite(value: object, name: str, positive: bool = True) -> None:
+    """Require a finite real number, ``> 0`` (or ``>= 0`` if not ``positive``)."""
+    valid = (
+        isinstance(value, numbers.Real)
+        and math.isfinite(value)
+        and (value > 0 if positive else value >= 0)
+    )
+    bound = "positive" if positive else "non-negative"
+    _require(valid, f"{name} must be a finite {bound} number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -125,7 +147,7 @@ class FleetSpec:
             self.admission in ADMISSION_POLICIES,
             f"unknown admission policy {self.admission!r}; options: {ADMISSION_POLICIES}",
         )
-        _require(int(self.num_clients) >= 1, f"num_clients must be >= 1, got {self.num_clients}")
+        _require_count(self.num_clients, "num_clients")
         _require(
             self.tier in DEVICE_TIERS,
             f"unknown device tier {self.tier!r}; options: {sorted(DEVICE_TIERS)}",
@@ -156,7 +178,7 @@ class TopologySpec:
     rebalance_every_round: bool = True
 
     def __post_init__(self) -> None:
-        _require(int(self.regions) >= 1, f"regions must be >= 1, got {self.regions}")
+        _require_count(self.regions, "regions")
         _require(
             self.clustering in ("hierarchical", "central"),
             f"unknown clustering policy {self.clustering!r}",
@@ -189,11 +211,11 @@ class NetworkSpec:
     wan_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        _require(self.latency_scale > 0, "latency_scale must be positive")
-        _require(self.bandwidth_scale > 0, "bandwidth_scale must be positive")
-        _require(self.jitter_s >= 0, "jitter_s must be non-negative")
+        _require_finite(self.latency_scale, "latency_scale")
+        _require_finite(self.bandwidth_scale, "bandwidth_scale")
+        _require_finite(self.jitter_s, "jitter_s", positive=False)
         _require(0.0 <= self.loss_rate < 1.0, "loss_rate must be in [0, 1)")
-        _require(self.wan_scale > 0, "wan_scale must be positive")
+        _require_finite(self.wan_scale, "wan_scale")
 
     @property
     def effective_latency_scale(self) -> float:
@@ -243,8 +265,12 @@ class TrainingSpec:
     round_deadline_s: Optional[float] = 120.0
 
     def __post_init__(self) -> None:
-        _require(int(self.rounds) >= 1, f"rounds must be >= 1, got {self.rounds}")
-        _require(int(self.local_epochs) >= 1, "local_epochs must be >= 1")
+        _require_count(self.rounds, "rounds")
+        _require_count(self.local_epochs, "local_epochs")
+        _require_count(self.batch_size, "batch_size")
+        _require_count(self.dataset_samples, "dataset_samples")
+        _require_finite(self.learning_rate, "learning_rate")
+        _require_finite(self.dirichlet_alpha, "dirichlet_alpha")
         _require(
             self.partition in ("iid", "dirichlet", "shard"),
             f"unknown partition scheme {self.partition!r}",

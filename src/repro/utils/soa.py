@@ -1,12 +1,12 @@
 """Struct-of-arrays primitives shared by the columnar hot paths.
 
-The fleet-scale kernel (ROADMAP item 1) keeps its hot state in preallocated,
-growable numpy columns instead of one slotted object per delivery.  This
-module holds the two leaf building blocks every columnar component uses:
+Traffic accounting (:class:`~repro.mqtt.network.TrafficLog`) and the event
+scheduler's FIFO-clamp table keep id-indexed numpy columns.  This module
+holds the two leaf building blocks they share:
 
 * :class:`StringTable` — bidirectional string interning (``str -> int`` plus
-  the reverse list), so sender/receiver/topic identities travel through the
-  kernel as small integers and only rehydrate to strings on cold paths;
+  the reverse list), so sender/receiver/topic identities index those columns
+  as small integers;
 * :func:`grow` — the shared doubling policy for numpy columns, so every
   column in a table grows in lockstep and amortizes to O(1) per append.
 
@@ -18,7 +18,7 @@ two must not import each other.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -64,10 +64,6 @@ class StringTable:
             self._values.append(value)
         return index
 
-    def intern_many(self, values: Iterable[Optional[str]]) -> np.ndarray:
-        """Intern a sequence of values; returns their ids as an int64 array."""
-        return np.array([self.intern(v) for v in values], dtype=np.int64)
-
     def lookup(self, value: Optional[str]) -> Optional[int]:
         """The id for ``value`` if it was ever interned, else ``None``."""
         return self._index.get(value)
@@ -75,14 +71,3 @@ class StringTable:
     def value(self, index: int) -> Optional[str]:
         """The string behind an id (inverse of :meth:`intern`)."""
         return self._values[index]
-
-    @property
-    def values(self) -> List[Optional[str]]:
-        """The interned values, by id (live list — do not mutate)."""
-        return self._values
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __contains__(self, value: Optional[str]) -> bool:
-        return value in self._index

@@ -9,7 +9,7 @@ from repro.ml.data import ArrayDataset, train_test_split
 from repro.ml.datasets import SyntheticDigitsConfig, make_gaussian_blobs, synthetic_digits
 from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
-from repro.runtime.pump import MessagePump
+from repro.runtime.scheduler import EventScheduler
 
 
 @pytest.fixture
@@ -36,9 +36,9 @@ def connected_clients(broker):
 
 
 @pytest.fixture
-def pump() -> MessagePump:
-    """An empty message pump; register clients as needed."""
-    return MessagePump()
+def pump() -> EventScheduler:
+    """An empty event scheduler to drive clients; register them as needed."""
+    return EventScheduler()
 
 
 @pytest.fixture(scope="session")

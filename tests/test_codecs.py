@@ -34,7 +34,7 @@ from repro.mqttfc.codecs import (
 )
 from repro.mqttfc.rfc import FleetControlEndpoint
 from repro.mqttfc.serialization import decode_payload, encode_payload
-from repro.runtime.pump import MessagePump
+from repro.runtime.scheduler import EventScheduler
 from repro.scenarios import ScenarioRunner, SweepSpec
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -364,7 +364,7 @@ class TestStatsReset:
     """
 
     def _rig(self, broker):
-        pump = MessagePump()
+        pump = EventScheduler()
 
         def make(client_id):
             mqtt = MQTTClient(client_id)

@@ -24,14 +24,14 @@ from repro.core.session import SessionState
 from repro.ml.models import ClassifierModel, make_mlp
 from repro.ml.state import state_dicts_allclose
 from repro.mqtt.broker import MQTTBroker
-from repro.runtime.pump import MessagePump
+from repro.runtime.scheduler import EventScheduler
 
 SESSION = "itest"
 
 
 def build_stack(broker, num_clients, policy="hierarchical", fraction=0.3, fl_rounds=2,
                 role_policy=None, rebalance=True):
-    pump = MessagePump()
+    pump = EventScheduler()
     coordinator = Coordinator(
         broker,
         config=CoordinatorConfig(
@@ -230,7 +230,7 @@ class TestResourceAccounting:
         from repro.sim.resources import ResourceAccountant
 
         resources = ResourceAccountant()
-        pump = MessagePump()
+        pump = EventScheduler()
         coordinator = Coordinator(
             broker,
             config=CoordinatorConfig(clustering=ClusteringConfig(policy="central")),

@@ -16,14 +16,14 @@ from repro.core.topics import global_store_topic
 from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.mqttfc.rfc import FleetControlEndpoint
-from repro.runtime.pump import MessagePump
+from repro.runtime.scheduler import EventScheduler
 from repro.sim.events import EventLog
 
 
 @pytest.fixture
 def stack(broker):
     """Broker + coordinator + parameter server + pump, plus a client factory."""
-    pump = MessagePump()
+    pump = EventScheduler()
     coordinator = Coordinator(
         broker,
         config=CoordinatorConfig(

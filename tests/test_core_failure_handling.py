@@ -20,14 +20,14 @@ from repro.core.session import SessionState
 from repro.core.topics import presence_topic
 from repro.ml.models import ClassifierModel, make_mlp
 from repro.mqtt.broker import MQTTBroker
-from repro.runtime.pump import MessagePump
+from repro.runtime.scheduler import EventScheduler
 
 SESSION = "failover"
 
 
 def build(num_clients, policy="hierarchical", fl_rounds=2):
     broker = MQTTBroker("failure-broker")
-    pump = MessagePump()
+    pump = EventScheduler()
     coordinator = Coordinator(
         broker,
         config=CoordinatorConfig(clustering=ClusteringConfig(policy=policy, aggregator_fraction=0.3)),

@@ -14,13 +14,13 @@ from repro.mqttfc.rfc import (
     call_topic,
     response_topic,
 )
-from repro.runtime.pump import MessagePump
+from repro.runtime.scheduler import EventScheduler
 
 
 @pytest.fixture
 def rig(broker):
     """Two connected endpoints plus a pump that drives both."""
-    pump = MessagePump()
+    pump = EventScheduler()
 
     def make(client_id, **kwargs):
         client = MQTTClient(client_id)

@@ -1,4 +1,4 @@
-"""Tests for the runtime: message pump, critical-path delay model, FLExperiment."""
+"""Tests for the runtime: scheduler drains, critical-path delay model, FLExperiment."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
 from repro.runtime.delay import CriticalPathDelayModel
 from repro.runtime.experiment import ExperimentConfig, FLExperiment
-from repro.runtime.pump import MessagePump
+from repro.runtime.scheduler import EventScheduler
 from repro.sim.costs import CostModel
 from repro.sim.device import DeviceFleet
 
@@ -21,9 +21,11 @@ def _connect(broker, client_id):
     return client
 
 
-class TestMessagePump:
+class TestSchedulerAsPump:
+    """The drain API clients use as their ``pump``, driven on EventScheduler."""
+
     def test_sweep_and_counters(self, broker):
-        pump = MessagePump()
+        pump = EventScheduler()
         a, b = _connect(broker, "a"), _connect(broker, "b")
         pump.register(a)
         pump.register(b)
@@ -31,11 +33,11 @@ class TestMessagePump:
         b.subscribe("t")
         a.publish("t", b"x")
         assert pump.sweep() == 1
-        assert pump.total_messages == 1
-        assert pump.total_sweeps == 1
+        assert pump.messages_processed == 1
+        assert pump.sweeps == 1
 
     def test_run_until_idle_follows_chains(self, broker):
-        pump = MessagePump()
+        pump = EventScheduler()
         a, b, c = (_connect(broker, x) for x in "abc")
         for client in (a, b, c):
             pump.register(client)
@@ -53,7 +55,7 @@ class TestMessagePump:
         assert "step3" in hits
 
     def test_run_until_predicate(self, broker):
-        pump = MessagePump()
+        pump = EventScheduler()
         a = _connect(broker, "a")
         b = _connect(broker, "b")
         pump.register(a)
@@ -67,14 +69,14 @@ class TestMessagePump:
         assert not pump.run_until(lambda: len(counter) >= 99)
 
     def test_unregister(self, broker):
-        pump = MessagePump()
+        pump = EventScheduler()
         a = _connect(broker, "a")
         pump.register(a)
         pump.unregister(a)
         assert pump.clients == []
 
     def test_non_quiescing_loop_detected(self, broker):
-        pump = MessagePump(max_sweeps=10)
+        pump = EventScheduler(max_sweeps=10)
         a, b = _connect(broker, "a"), _connect(broker, "b")
         pump.register(a)
         pump.register(b)
@@ -88,7 +90,8 @@ class TestMessagePump:
             pump.run_until_idle()
 
     def test_callable_alias(self, broker):
-        pump = MessagePump()
+        # Clients take the bound drain as their pump callable.
+        pump = EventScheduler().run_until_idle
         assert pump() == 0
 
 

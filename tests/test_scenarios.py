@@ -80,6 +80,44 @@ class TestSpecValidation:
         with pytest.raises(ScenarioSpecError, match="duration"):
             FaultSpec(kind="broker_slowdown", start_s=1.0, duration_s=0.0, factor=2.0)
 
+    @pytest.mark.parametrize(
+        "section, name, value",
+        [
+            ("training", "learning_rate", float("nan")),
+            ("training", "learning_rate", float("inf")),
+            ("training", "learning_rate", -1),
+            ("training", "batch_size", 0),
+            ("training", "batch_size", None),
+            ("training", "dataset_samples", 0),
+            ("training", "dataset_samples", float("nan")),
+            ("training", "dirichlet_alpha", -1),
+            ("training", "rounds", float("inf")),
+            ("network", "latency_scale", float("inf")),
+            ("network", "bandwidth_scale", float("inf")),
+            ("network", "jitter_s", float("inf")),
+            ("network", "wan_scale", float("inf")),
+            ("fleet", "num_clients", float("inf")),
+            ("topology", "regions", float("inf")),
+        ],
+    )
+    def test_bad_value_rejected_naming_the_field(self, section, name, value):
+        data = get_scenario("baseline").as_dict()
+        data[section][name] = value
+        with pytest.raises(ScenarioSpecError, match=name):
+            ScenarioSpec.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"name": "x", "fleet": {"num_clients": 4, "initial_clients": float("inf")}},
+            {"name": "x", "faults": [{"kind": "client_crash", "start_s": 1.0, "round": float("inf")}]},
+        ],
+    )
+    def test_overflow_in_construction_is_a_spec_error(self, data):
+        # Fields whose check converts with int() still fail as spec errors.
+        with pytest.raises(ScenarioSpecError):
+            ScenarioSpec.from_dict(data)
+
     def test_overlapping_fault_windows_rejected(self):
         with pytest.raises(ScenarioSpecError, match="overlapping"):
             _tiny_spec(

@@ -14,10 +14,9 @@ import pytest
 
 from repro.mqtt.broker import MQTTBroker
 from repro.mqtt.client import MQTTClient
-from repro.mqtt.messages import QoS
+from repro.mqtt.messages import MQTTMessage, QoS
 from repro.mqtt.network import LinkProfile, NetworkModel
 from repro.runtime.experiment import ExperimentConfig, FLExperiment
-from repro.runtime.pump import MessagePump
 from repro.runtime.scheduler import EventScheduler
 from repro.sim.clock import SimulationClock
 from repro.sim.events import ChurnSchedule, EventLog
@@ -240,13 +239,6 @@ class TestCollectionPath:
         scheduler.run_until_idle()
         assert order == ["c1", "c0"]
         assert all(c.pending_messages == 0 for c in clients)
-
-    def test_pump_is_a_facade_over_the_scheduler(self):
-        pump = MessagePump(max_sweeps=123)
-        assert isinstance(pump.scheduler, EventScheduler)
-        assert pump.max_sweeps == 123 == pump.scheduler.max_sweeps
-        external = EventScheduler()
-        assert MessagePump(scheduler=external).scheduler is external
 
 
 class TestChurnDeterminism:
@@ -605,3 +597,29 @@ class TestCancelReleasesFifoClamp:
         assert [topic for topic, _ in arrivals] == ["small", "small"]
         arrival_times = [at for _, at in arrivals]
         assert arrival_times == sorted(arrival_times)
+
+    def test_publish_result_is_the_live_pending_record(self):
+        # A single delivery's record is stored in the heap as is: the object
+        # publish() returned is the one pending_deliveries() yields and the
+        # cancel predicate sees, and the re-clamp after a cancel updates it.
+        scheduler, publisher, arrivals = self._slow_pair()
+        (broker,) = scheduler.brokers
+        publisher.publish("big", b"L" * 50_000)
+        (mid,) = broker.publish(MQTTMessage(topic="small", payload=b"m" * 5_000, sender_id="pub"))
+        (tiny,) = broker.publish(MQTTMessage(topic="small", payload=b"s", sender_id="pub"))
+        mid_own, tiny_own = mid.unclamped_deliver_at, tiny.unclamped_deliver_at
+        assert mid.deliver_at > 4.0 and tiny.deliver_at == mid.deliver_at, "test setup"
+        assert tiny_own < mid_own < 1.0
+
+        seen = []
+        scheduler.cancel_deliveries(lambda r: seen.append(r) or r.message.topic == "big")
+        assert any(r is mid for r in seen) and any(r is tiny for r in seen)
+
+        pending = scheduler.pending_deliveries()
+        assert pending[0] is mid and pending[1] is tiny
+        # mid springs back to its own time; tiny is re-clamped behind it.
+        assert mid.deliver_at == mid_own and mid.unclamped_deliver_at is None
+        assert tiny.deliver_at == mid_own and tiny.unclamped_deliver_at == tiny_own
+
+        scheduler.run_until_idle()
+        assert [at for _, at in arrivals] == [mid_own, mid_own]

@@ -97,10 +97,11 @@ GATES = (
     # the gate fails.
     ("obs_overhead_ratio", lambda m: float(m["obs_overhead_ratio"]), 0.02, "higher"),
     # Lower-is-better: marginal memory of +10k idle clients (subprocess
-    # probe).  The preallocated columns must keep this flat — a per-delivery
-    # or per-client allocation regression shows up here long before it OOMs
-    # a 100k-client scenario.  Python RSS deltas are allocator-noisy, hence
-    # the loose tolerance; a real per-client leak multiplies the figure.
+    # probe).  The scheduler's heap and FIFO table must keep this flat — a
+    # per-delivery or per-client allocation regression shows up here long
+    # before it OOMs a 100k-client scenario.  Python RSS deltas are
+    # allocator-noisy, hence the loose tolerance; a real per-client leak
+    # multiplies the figure.
     ("scheduler_rss_per_10k_clients_mb",
      lambda m: float(m["scheduler_rss_per_10k_clients_mb"]), 0.50, "lower"),
 )
@@ -503,10 +504,10 @@ def _idle_rss_probe(base_clients: int, extra_clients: int) -> None:
     """Subprocess entry point: grow an idle fleet, print the memory delta.
 
     Builds ``base_clients`` connected+subscribed clients first so the one-off
-    costs (imports, scheduler columns, route plans, interpreter pools) are in
+    costs (imports, scheduler FIFO table, route plans, interpreter pools) are in
     the baseline, then adds ``extra_clients`` more and attributes the growth
     to them.  One broadcast round runs against the base fleet before the
-    baseline snapshot so the columnar kernel's steady state (grown columns,
+    baseline snapshot so the scheduler's steady state (grown FIFO table,
     warm caches) is part of the baseline too.
 
     The gated figure comes from ``tracemalloc`` (traced Python allocations),
