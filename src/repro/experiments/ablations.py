@@ -119,7 +119,7 @@ def run_payload_compression_sweep(
 
         stopwatch = Stopwatch()
         with stopwatch:
-            compressed = compress_payload(encoded, CompressionConfig(enabled=True, level=6))
+            compressed = compress_payload(encoded, CompressionConfig(enabled=True))
         uncompressed = compress_payload(encoded, CompressionConfig(enabled=False))
 
         rows.append(

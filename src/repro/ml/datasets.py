@@ -89,17 +89,17 @@ def synthetic_digits(config: SyntheticDigitsConfig | None = None) -> ArrayDatase
     prototypes = np.stack([_smooth_prototype(rng, side) for _ in range(config.num_classes)])
 
     labels = rng.integers(0, config.num_classes, size=config.num_samples)
-    features = np.empty((config.num_samples, side * side), dtype=np.float64)
-
     shifts = rng.integers(-config.max_shift, config.max_shift + 1, size=(config.num_samples, 2))
     scales = rng.uniform(0.8, 1.2, size=config.num_samples)
     noise = rng.normal(0.0, config.noise, size=(config.num_samples, side, side))
 
-    for i in range(config.num_samples):
-        proto = prototypes[labels[i]]
-        shifted = np.roll(proto, shift=(shifts[i, 0], shifts[i, 1]), axis=(0, 1))
-        sample = scales[i] * shifted + noise[i]
-        features[i] = sample.ravel()
+    # One gather does every sample's ``np.roll`` of its class prototype:
+    # rolled[r, c] = prototype[(r - shift_row) % side, (c - shift_col) % side].
+    pixels = np.arange(side)
+    rows = (pixels - shifts[:, :1]) % side
+    cols = (pixels - shifts[:, 1:]) % side
+    shifted = prototypes[labels[:, None, None], rows[:, :, None], cols[:, None, :]]
+    features = (scales[:, None, None] * shifted + noise).reshape(config.num_samples, side * side)
 
     # Standardize features globally (mirrors torchvision's MNIST normalization).
     mean = features.mean()

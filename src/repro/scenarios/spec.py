@@ -100,13 +100,20 @@ def _require(condition: bool, message: str) -> None:
         raise ScenarioSpecError(message)
 
 
+def _require_int(value: object, name: str, minimum: int) -> None:
+    """Require an integer ``>= minimum``; floats (2.5, inf), ``None`` and
+    booleans are rejected by name instead of being truncated later."""
+    valid = (
+        isinstance(value, numbers.Integral)
+        and not isinstance(value, bool)
+        and value >= minimum
+    )
+    _require(valid, f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def _require_count(value: object, name: str) -> None:
-    """Require a count ``>= 1``; ``None``, NaN and inf are rejected by name."""
-    try:
-        valid = int(value) >= 1  # type: ignore[call-overload]
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    _require(valid, f"{name} must be >= 1, got {value!r}")
+    """Require a count: an integer ``>= 1``."""
+    _require_int(value, name, 1)
 
 
 def _require_finite(value: object, name: str, positive: bool = True) -> None:
@@ -160,8 +167,9 @@ class FleetSpec:
                 "tier_mix weights must be positive",
             )
         if self.initial_clients is not None:
+            _require_count(self.initial_clients, "initial_clients")
             _require(
-                1 <= int(self.initial_clients) <= int(self.num_clients),
+                self.initial_clients <= self.num_clients,
                 f"initial_clients must be in [1, {self.num_clients}], got {self.initial_clients}",
             )
         _require(0.0 <= self.memory_pressure <= 1.0, "memory_pressure must be in [0, 1]")
@@ -280,7 +288,7 @@ class TrainingSpec:
             "client_data_fraction must be in (0, 1)",
         )
         if self.round_deadline_s is not None:
-            _require(self.round_deadline_s > 0, "round_deadline_s must be positive")
+            _require_finite(self.round_deadline_s, "round_deadline_s")
         from repro.mqttfc.codecs import CodecError, parse_codec_spec
 
         try:
@@ -322,17 +330,17 @@ class FaultSpec:
             self.kind in FAULT_KINDS,
             f"unknown fault kind {self.kind!r}; options: {FAULT_KINDS}",
         )
-        _require(self.start_s >= 0, f"fault start_s must be non-negative, got {self.start_s}")
-        _require(self.duration_s >= 0, "fault duration_s must be non-negative")
-        _require(self.factor > 0, "fault factor must be positive")
-        _require(self.latency_add_s >= 0, "latency_add_s must be non-negative")
+        _require_finite(self.start_s, "fault start_s", positive=False)
+        _require_finite(self.duration_s, "fault duration_s", positive=False)
+        _require_finite(self.factor, "fault factor")
+        _require_finite(self.latency_add_s, "fault latency_add_s", positive=False)
         if self.kind in ("broker_slowdown", "link_degradation", "client_slow"):
             _require(
                 self.duration_s > 0,
                 f"{self.kind} faults are windows and need duration_s > 0",
             )
         if self.round is not None:
-            _require(int(self.round) >= 0, f"fault round must be >= 0, got {self.round}")
+            _require_int(self.round, "fault round", 0)
             _require(
                 self.phase in ANCHOR_PHASES,
                 f"unknown fault phase {self.phase!r}; options: {ANCHOR_PHASES}",
@@ -439,7 +447,7 @@ class ScenarioSpec:
                 )
             if fault.round is not None:
                 _require(
-                    int(fault.round) < int(self.training.rounds),
+                    fault.round < self.training.rounds,
                     f"{fault.kind} fault is anchored to round {fault.round}, but "
                     f"the scenario only runs {self.training.rounds} round(s)",
                 )

@@ -55,7 +55,7 @@ __all__ = [
 #: Bump when the sqlite layout *or the results a spec produces* change; the
 #: store refuses databases written by a different schema rather than guessing
 #: at migrations or serving results the current program no longer produces.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Environment variable naming the default database location.
 STORE_ENV_VAR = "REPRO_STORE"

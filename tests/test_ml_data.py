@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ml.data import ArrayDataset, DataLoader, train_test_split
-from repro.ml.datasets import SyntheticDigitsConfig, make_gaussian_blobs, synthetic_digits
+from repro.ml.datasets import (
+    SyntheticDigitsConfig,
+    _smooth_prototype,
+    make_gaussian_blobs,
+    synthetic_digits,
+)
 from repro.ml.metrics import accuracy, confusion_matrix, top_k_accuracy
 from repro.ml.models import ClassifierModel, make_paper_mlp
 from repro.ml.partition import dirichlet_partition, fraction_subsample, iid_partition, shard_partition
@@ -20,6 +25,7 @@ from repro.ml.state import (
     unflatten_state_dict,
     zeros_like_state_dict,
 )
+from repro.utils.rng import rng_from_seed
 
 
 class TestArrayDataset:
@@ -98,6 +104,25 @@ class TestTrainTestSplit:
             train_test_split(ds, test_fraction=0.0)
 
 
+def _per_sample_roll_digits(config: SyntheticDigitsConfig) -> np.ndarray:
+    """The features as the original per-sample ``np.roll`` loop built them."""
+    rng = rng_from_seed(config.seed, "synthetic_digits")
+    side = config.side
+    prototypes = np.stack([_smooth_prototype(rng, side) for _ in range(config.num_classes)])
+    labels = rng.integers(0, config.num_classes, size=config.num_samples)
+    features = np.empty((config.num_samples, side * side), dtype=np.float64)
+    shifts = rng.integers(-config.max_shift, config.max_shift + 1, size=(config.num_samples, 2))
+    scales = rng.uniform(0.8, 1.2, size=config.num_samples)
+    noise = rng.normal(0.0, config.noise, size=(config.num_samples, side, side))
+    for i in range(config.num_samples):
+        shifted = np.roll(prototypes[labels[i]], shift=(shifts[i, 0], shifts[i, 1]), axis=(0, 1))
+        features[i] = (scales[i] * shifted + noise[i]).ravel()
+    std = features.std()
+    if std > 0:
+        features = (features - features.mean()) / std
+    return features
+
+
 class TestSyntheticDigits:
     def test_deterministic_for_seed(self):
         a = synthetic_digits(SyntheticDigitsConfig(num_samples=100, seed=1))
@@ -126,6 +151,20 @@ class TestSyntheticDigits:
         model = ClassifierModel(make_paper_mlp(input_dim=train.num_features, num_classes=10, seed=0))
         model.fit(train, epochs=10, batch_size=32, lr=1e-3, rng=np.random.default_rng(0))
         assert model.accuracy(test) > 0.7
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SyntheticDigitsConfig(num_samples=800, seed=42),
+            SyntheticDigitsConfig(num_samples=1024, seed=7),
+            SyntheticDigitsConfig(num_samples=3000, seed=3),
+            SyntheticDigitsConfig(num_samples=50, side=9, num_classes=4, max_shift=8, seed=5),
+        ],
+    )
+    def test_features_match_the_per_sample_roll_loop(self, config):
+        ds = synthetic_digits(config)
+        reference = _per_sample_roll_digits(config)
+        assert ds.features.tobytes() == reference.tobytes()
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

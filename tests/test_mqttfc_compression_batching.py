@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +12,11 @@ from repro.mqttfc.batching import BatchAssembler, BatchChunk, BatchEncoder, Batc
 from repro.mqttfc.compression import (
     CompressionConfig,
     CompressionError,
+    compress_frame,
     compress_payload,
     decompress_payload,
 )
+from repro.mqttfc.serialization import PayloadFrame
 
 
 class TestCompression:
@@ -55,15 +59,36 @@ class TestCompression:
         with pytest.raises(CompressionError):
             decompress_payload(b"")
 
-    def test_invalid_level_rejected(self):
-        with pytest.raises(ValueError):
-            CompressionConfig(level=0)
-
-    @given(st.binary(max_size=5000), st.integers(min_value=1, max_value=9))
+    @given(st.binary(max_size=5000))
     @settings(max_examples=30, deadline=None)
-    def test_roundtrip_property(self, data, level):
-        wrapped = compress_payload(data, CompressionConfig(enabled=True, level=level, min_bytes=1))
+    def test_roundtrip_property(self, data):
+        wrapped = compress_payload(data, CompressionConfig(enabled=True, min_bytes=1))
         assert decompress_payload(wrapped) == data
+
+
+def _float32_frame(num_values: int, seed: int = 0) -> PayloadFrame:
+    weights = np.random.default_rng(seed).normal(0.0, 0.1, size=num_values).astype(np.float32)
+    return PayloadFrame([b"header", memoryview(weights).cast("B")])
+
+
+class TestFloat32Weights:
+    @pytest.mark.parametrize(
+        "num_values, below_min_bytes", [(16, True), (254, True), (255, False), (20_000, False)]
+    )
+    def test_frame_and_payload_paths_agree(self, num_values, below_min_bytes):
+        frame = _float32_frame(num_values)
+        config = CompressionConfig()
+        assert (frame.nbytes < config.min_bytes) == below_min_bytes
+        assert compress_frame(frame, config).tobytes() == compress_payload(frame.tobytes(), config)
+
+    @pytest.mark.parametrize("num_values", [1024, 8192, 65_536])
+    def test_random_weights_of_4kib_or_more_are_kept_as_a_zlib_stream(self, num_values):
+        data = _float32_frame(num_values, seed=num_values).tobytes()
+        assert len(data) >= 4096
+        wrapped = compress_payload(data)
+        assert wrapped[:1] == b"\x01"
+        assert len(wrapped) < len(data)
+        assert zlib.decompress(wrapped[1:]) == data
 
 
 class TestBatchEncoder:

@@ -107,6 +107,34 @@ class TestSpecValidation:
             ScenarioSpec.from_dict(data)
 
     @pytest.mark.parametrize(
+        "scenario, path, value",
+        [
+            ("baseline", ("training", "rounds"), 2.5),
+            ("baseline", ("training", "local_epochs"), 2.5),
+            ("baseline", ("training", "batch_size"), 2.5),
+            ("baseline", ("training", "dataset_samples"), 800.5),
+            ("baseline", ("topology", "regions"), 1.5),
+            ("baseline", ("fleet", "num_clients"), 7.5),
+            ("baseline", ("fleet", "initial_clients"), float("inf")),
+            ("baseline", ("training", "round_deadline_s"), float("inf")),
+            ("degraded-wan", ("faults", 0, "start_s"), float("inf")),
+            ("degraded-wan", ("faults", 0, "duration_s"), float("inf")),
+            ("degraded-wan", ("faults", 0, "factor"), float("inf")),
+            ("degraded-wan", ("faults", 1, "latency_add_s"), float("inf")),
+            ("degraded-wan", ("faults", 0, "round"), float("inf")),
+            ("degraded-wan", ("faults", 0, "round"), 0.5),
+        ],
+    )
+    def test_non_integer_or_infinite_value_rejected_naming_the_field(self, scenario, path, value):
+        data = get_scenario(scenario).as_dict()
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ScenarioSpecError, match=path[-1]):
+            ScenarioSpec.from_dict(data)
+
+    @pytest.mark.parametrize(
         "data",
         [
             {"name": "x", "fleet": {"num_clients": 4, "initial_clients": float("inf")}},

@@ -241,6 +241,18 @@ class TestResultsStore:
         with pytest.raises(ResultsStoreError, match="schema 1"):
             ResultsStore(path)
 
+    def test_store_stamped_with_schema_2_refused(self, tmp_path):
+        # Schema 2 stores hold runs whose payloads were deflated with LZ77
+        # matching; the compressed sizes drive the simulated transfer delays,
+        # so their signatures are no longer what a fresh run produces.
+        path = tmp_path / "results.sqlite"
+        with closing(sqlite3.connect(path)) as db:
+            db.execute("CREATE TABLE store_meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)")
+            db.execute("INSERT INTO store_meta (key, value) VALUES ('schema_version', '2')")
+            db.commit()
+        with pytest.raises(ResultsStoreError, match="schema 2, this build expects 3"):
+            ResultsStore(path)
+
     def test_closed_store_raises(self, tmp_path):
         handle = ResultsStore(tmp_path / "results.sqlite")
         handle.close()
